@@ -4,6 +4,8 @@ Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
 degree) selection.  Monomials are packed into single integers so that integer
 comparison realizes the term order and integer addition realizes monomial
 multiplication; divisibility uses a SWAR check on a parallel plain packing.
+Inputs join the pair queue by degree, so one run also counts the minimal
+generators of a homogeneous ideal.
 
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and a plain
@@ -94,9 +96,6 @@ class MonomialOrder:
 
     def divides(self, pk_small: int, pk_big: int) -> bool:
         return ((pk_big | self._guard) - pk_small) & self._guard == self._guard
-
-    def total_degree(self, key: int) -> int:
-        return sum(self.exps(key))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +203,15 @@ def _lcm_key(order: MonomialOrder, e1, e2) -> int:
     return order.key(tuple(max(a, b) for a, b in zip(e1, e2)))
 
 
-def _buchberger_dicts(inputs: list[dict[int, int]], p: int,
-                      order: MonomialOrder) -> list[dict[int, int]]:
-    """Reduced Groebner basis of the given polynomial dicts."""
+def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
+                      ) -> tuple[list[dict[int, int]], dict[int, int]]:
+    """Reduced Groebner basis of the given polynomial dicts, and mu.
+
+    Inputs and S-pairs share one queue in degree order, the degree-d pairs
+    before the degree-d inputs (Kreuzer-Robbiano, CCA2 4.6).  mu[d] counts
+    the degree-d inputs left with a nonzero remainder; for homogeneous
+    inputs that is the number of degree-d minimal generators.
+    """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
 
@@ -252,20 +257,20 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int,
                     and order.divides(pkt, basis.lead_pk[i]):
                 basis.alive[i] = False
 
-    seeds = [d for d in inputs if d]
-    seeds.sort(key=lambda d: max(d))
-    for d in seeds:
-        r = _normal_form_dict(d, basis)
-        if r:
-            lc = r[max(r)]
-            if lc != 1:
-                inv = pow(lc, p - 2, p)
-                r = {k: (c * inv) % p for k, c in r.items()}
-            update(r)
-
-    while pairs:
-        _, lk, i, j = heapq.heappop(pairs)
-        r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
+    seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
+    seeds.sort(key=lambda s: (s[0], max(s[1])))
+    mu: dict[int, int] = {}
+    nxt = 0
+    while nxt < len(seeds) or pairs:
+        if nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0]):
+            deg, d = seeds[nxt]
+            nxt += 1
+            r = _normal_form_dict(d, basis)
+            if r:
+                mu[deg] = mu.get(deg, 0) + 1
+        else:
+            _, lk, i, j = heapq.heappop(pairs)
+            r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
         if r:
             lc = r[max(r)]
             if lc != 1:
@@ -294,7 +299,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int,
         d[basis.lead_key[i]] = 1
         reduced.append(_normal_form_dict(d, sub))
     reduced.sort(key=max)
-    return reduced
+    return reduced, mu
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +414,7 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
     if order is None:
         order = MonomialOrder(ring.nvars)
     dicts = [_to_dict(g, order) for g in gens]
-    out = _buchberger_dicts(dicts, ring.prime, order)
+    out, _ = _buchberger_dicts(dicts, ring.prime, order)
     return GroebnerBasis(ring, order.descriptor,
                          tuple(_from_dict(d, ring, order) for d in out))
 
@@ -643,12 +648,6 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
         cur = nxt
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise UsageError("ideals from different rings")
-    return Ideal(a.ring, a.generators + b.generators)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series
 
@@ -816,11 +815,15 @@ def _monomial_numerator(gens: frozenset[tuple[int, ...]], nvars: int,
     return out
 
 
-def hilbert(ideal: Ideal) -> HilbertData:
-    """Hilbert data of R/I for homogeneous I (usage error otherwise)."""
+def _require_homogeneous(ideal: Ideal) -> None:
     for idx, g in enumerate(ideal.generators):
         if not g.is_homogeneous():
             raise UsageError(f"generator {idx} is not homogeneous: {g}")
+
+
+def hilbert(ideal: Ideal) -> HilbertData:
+    """Hilbert data of R/I for homogeneous I (usage error otherwise)."""
+    _require_homogeneous(ideal)
     n = ideal.ring.nvars
     gb = ideal.groebner_basis()
     leads = frozenset(g.leading_monomial().exponents for g in gb.elements)
@@ -855,6 +858,22 @@ def hilbert(ideal: Ideal) -> HilbertData:
             hp = hp + term
         hp = UnivariatePolynomial([Fraction(x) for x in hp.coeffs])
     return HilbertData(numerator, dim, degree, hp, n)
+
+
+def generator_profile(ideal: Ideal) -> dict[int, int]:
+    """Minimal generator counts by degree, {degree: count}, for homogeneous I.
+
+    The engine's mu over the reduced degrevlex basis; the zero and the unit
+    ideal have none.
+    """
+    _require_homogeneous(ideal)
+    if ideal.is_unit():
+        return {}
+    order = MonomialOrder(ideal.ring.nvars)
+    gb = ideal.groebner_basis(order)
+    _, mu = _buchberger_dicts([_to_dict(g, order) for g in gb.elements],
+                              ideal.ring.prime, order)
+    return mu
 
 
 def resolution_hilbert_numerator(terms) -> UnivariatePolynomial:

@@ -17,8 +17,6 @@ across implementations and is part of the JSON interchange contract.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,14 +41,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         return z ^ (z >> 31)
-
-
-def worker_count() -> int:
-    """Parallelism cap from THETA_LOCI_THREADS (default 1: fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("THETA_LOCI_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class SkewMatrix:
@@ -94,10 +84,6 @@ class SkewMatrix:
     def submatrix(self, rows) -> "SkewMatrix":
         rows = tuple(rows)
         return SkewMatrix(self.ring, [[self.entries[i][j] for j in rows] for i in rows])
-
-    def permuted(self, sigma) -> "SkewMatrix":
-        """Simultaneous row/column permutation by sigma (new index -> old index)."""
-        return self.submatrix(sigma)
 
     def pfaffian(self) -> Polynomial:
         return pfaffian(self)
@@ -168,13 +154,8 @@ def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
         raise UsageError("Pfaffian ideal size must be even")
     if size > matrix.size:
         raise UsageError("submatrix size exceeds matrix size")
-    subsets = list(combinations(range(matrix.size), size))
-    threads = worker_count()
-    if threads > 1 and len(subsets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pfs = list(pool.map(lambda s: pfaffian(matrix.submatrix(s)), subsets))
-    else:
-        pfs = [pfaffian(matrix.submatrix(s)) for s in subsets]
+    pfs = [pfaffian(matrix.submatrix(s))
+           for s in combinations(range(matrix.size), size)]
     return Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
 
 

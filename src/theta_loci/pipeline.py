@@ -12,121 +12,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import comb
-
-import numpy as np
 
 from .errors import UsageError
-from .groebner import (Ideal, hilbert, ideal_intersection,
+from .groebner import (Ideal, generator_profile, hilbert, ideal_intersection,
                        resolution_hilbert_numerator, saturate,
                        saturate_by_ideal)
 from .complexes import buchsbaum_eisenbud_numerator_terms
 from .multilinear import (SkewMatrix, c5w25_matrix, c5w25_ring,
                           pfaffian_ideal, random_section, w39_matrix)
-from .poly import Polynomial, PolynomialRing
+from .poly import PolynomialRing
 
 CASES = ("c5w25", "w39", "c3c3c3")
 GALLERY = ("nodal", "triangle", "pentagon", "nonreduced", "cuspidal")
-
-_PROFILE_WORK_CAP = 20_000_000  # rows*cols bound for minimal-generator ranks
-
-
-# ---------------------------------------------------------------------------
-# minimal generator profiles
-
-
-def _monomials_of_degree(nvars: int, d: int):
-    if d == 0:
-        yield (0,) * nvars
-        return
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
-
-
-def _rank_mod_p_np(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    m = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = m.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(m[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            m[[row, piv]] = m[[piv, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = (m[row] * inv) % p
-        targets = np.nonzero(m[:, col])[0]
-        for i in targets:
-            if i != row:
-                m[i] = (m[i] - int(m[i, col]) * m[row]) % p
-        rank += 1
-        row += 1
-    return rank
-
-
-def generator_profile(ideal: Ideal) -> tuple[dict[int, int], bool]:
-    """Minimal homogeneous generator counts by degree.
-
-    Degree d count = dim I_d - dim (R_1 * I_{d-1})_d, with dim I_d read off
-    the Hilbert numerator and the span rank computed mod p.  Returns
-    (profile, complete); complete is False when the work cap truncated the
-    scan below the top Groebner-basis degree (the profile is then a lower
-    part of the true one).
-    """
-    ring = ideal.ring
-    p = ring.prime
-    n = ring.nvars
-    gb = ideal.groebner_basis()
-    if not gb.elements:
-        return {}, True
-    hd = hilbert(ideal)
-    max_deg = max(g.degree for g in gb.elements)
-    profile: dict[int, int] = {}
-    complete = True
-    by_degree: dict[int, list[Polynomial]] = {}
-    for g in gb.elements:
-        by_degree.setdefault(g.degree, []).append(g)
-    for d in range(1, max_deg + 1):
-        dim_rd = comb(d + n - 1, n - 1)
-        dim_id = dim_rd - hd.hilbert_function(d)
-        if dim_id <= 0:
-            continue
-        # span of {m*g : g in basis, deg m = d - deg g >= 1}
-        rows = []
-        ncols = dim_rd
-        nrows = 0
-        for e, gs in by_degree.items():
-            if d - e >= 1:
-                nrows += comb(d - e + n - 1, n - 1) * len(gs)
-        if nrows * ncols > _PROFILE_WORK_CAP:
-            complete = False
-            break
-        col_index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
-        for e, gs in sorted(by_degree.items()):
-            k = d - e
-            if k < 1:
-                continue
-            for mono in _monomials_of_degree(n, k):
-                for g in gs:
-                    row = [0] * ncols
-                    for gm, c in g.terms:
-                        key = tuple(a + b for a, b in zip(mono, gm.exponents))
-                        row[col_index[key]] = c
-                    rows.append(row)
-        spanned = _rank_mod_p_np(rows, p)
-        if dim_id - spanned > 0:
-            profile[d] = dim_id - spanned
-    return profile, complete
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +37,6 @@ class IdealRecord:
     degree: int | None
     hilbert_polynomial: str | None
     generator_profile: dict[int, int] | None
-    profile_complete: bool = True
     numerator: str | None = None
     basis_size: int | None = None
     note: str | None = None
@@ -153,7 +49,6 @@ class IdealRecord:
             "hilbert_polynomial": self.hilbert_polynomial,
             "generator_profile": {str(k): v for k, v in
                                   sorted((self.generator_profile or {}).items())},
-            "profile_complete": self.profile_complete,
         }
         if self.numerator is not None:
             out["numerator"] = self.numerator
@@ -228,8 +123,7 @@ def report_emit(report: CaseReport, fmt: str = "json",
         prof = ", ".join(f"{v} of degree {k}"
                          for k, v in sorted((r.generator_profile or {}).items()))
         lines.append(f"  ideal {r.name}: codim {r.codim}, degree {r.degree}, "
-                     f"HP {r.hilbert_polynomial}, generators [{prof}]"
-                     + ("" if r.profile_complete else " (profile truncated)"))
+                     f"HP {r.hilbert_polynomial}, generators [{prof}]")
     for v in report.verdicts:
         mark = "PASS" if v.passed else "FAIL"
         lines.append(f"  [{mark}] {v.name}: expected {v.expected}, got {v.actual}")
@@ -245,20 +139,17 @@ def report_emit(report: CaseReport, fmt: str = "json",
 # case runners
 
 
-def _record(name: str, ideal: Ideal, with_profile: bool = True,
-            with_numerator: bool = False) -> IdealRecord:
+def _record(name: str, ideal: Ideal, with_numerator: bool = False) -> IdealRecord:
     gb = ideal.groebner_basis()
     if not gb.elements:
-        return IdealRecord(name, None, None, None, {}, True, basis_size=0)
+        return IdealRecord(name, None, None, None, {}, basis_size=0)
     hd = hilbert(ideal)
-    profile, complete = generator_profile(ideal) if with_profile else (None, True)
     return IdealRecord(
         name,
         codim=ideal.ring.nvars - hd.krull_dimension,
         degree=hd.degree,
         hilbert_polynomial=str(hd.hilbert_polynomial),
-        generator_profile=profile,
-        profile_complete=complete,
+        generator_profile=generator_profile(ideal),
         numerator=str(hd.numerator) if with_numerator else None,
         basis_size=len(gb.elements),
     )
@@ -330,7 +221,7 @@ def _run_w39(prime: int, seed: int, chart: int) -> CaseReport:
     report.records.append(rec_j)
     report.timings["hilbertJ"] = time.perf_counter() - t0
     gb_k = K.groebner_basis()
-    report.records.append(IdealRecord("K", None, None, None, {}, True,
+    report.records.append(IdealRecord("K", None, None, None, {},
                                       basis_size=len(gb_k.elements),
                                       note="unit ideal" if K.is_unit()
                                       else "proper ideal (non-generic)"))

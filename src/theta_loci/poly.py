@@ -44,14 +44,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inverse(self, a: int) -> int:
         a %= self.p

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, JSON IO, error messages."""
 
 import json
+import os
+import subprocess
+import sys
 
+import theta_loci
 from theta_loci.cli import main
 
 
@@ -139,3 +143,14 @@ def test_example_cli(capsys):
     assert main(["example", "--name", "triangle", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "PASS"
+
+
+def test_package_imports_without_numpy():
+    """The package is pure Python: importing it and the CLI loads no numpy."""
+    src = os.path.dirname(os.path.dirname(theta_loci.__file__))
+    code = ("import sys, theta_loci, theta_loci.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -83,7 +83,7 @@ def test_pfaffian_permutation_sign():
         rng.shuffle(sigma)
         inv = sum(1 for i in range(4) for j in range(i + 1, 4)
                   if sigma[i] > sigma[j])
-        got = pfaffian(m.permuted(sigma))
+        got = pfaffian(m.submatrix(sigma))
         assert got == (base if inv % 2 == 0 else -base)
 
 

@@ -1,6 +1,8 @@
 """Case reports, gallery, determinism, generator profiles."""
 
 import json
+import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,30 +11,75 @@ from theta_loci.groebner import Ideal
 from theta_loci.pipeline import (GALLERY, example_gallery, generator_profile,
                                  report_emit, run_case)
 from theta_loci.poly import PolynomialRing
+from theta_loci.vinberg import _rank_mod_p
+
+
+def _dense_profile(ideal):
+    """Oracle: mu_d = dim I_d - rank(R_1 * I_(d-1)), by dense ranks mod p."""
+    n = ideal.ring.nvars
+    profile = {}
+    for d in range(1, max(g.degree for g in ideal.generators) + 1):
+        # the multiples m*g of degree d span I_d; those with deg m >= 1
+        # span R_1 * I_(d-1)
+        columns = list(_exponents_of_degree(n, d))
+        every, shifted = [], []
+        for g in ideal.generators:
+            k = d - g.degree
+            for mono in _exponents_of_degree(n, k) if k >= 0 else ():
+                terms = {tuple(a + b for a, b in zip(mono, m.exponents)): c
+                         for m, c in g.terms}
+                row = [terms.get(e, 0) for e in columns]
+                every.append(row)
+                if k >= 1:
+                    shifted.append(row)
+        mu = (_rank_mod_p(every, ideal.ring.prime)
+              - _rank_mod_p(shifted, ideal.ring.prime))
+        if mu:
+            profile[d] = mu
+    return profile
+
+
+def _exponents_of_degree(n, k):
+    for combo in combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        yield tuple(exps)
+
+
+def _twisted_cubic_plus_cubic(prime, seed):
+    """2x2 minors of a random 2x3 matrix of linear forms, plus a random cubic."""
+    rng = random.Random(seed)
+    ring = PolynomialRing(prime=prime, nvars=4)
+
+    def form(degree):
+        return sum((ring.monomial(e, rng.randrange(prime))
+                    for e in _exponents_of_degree(4, degree)), ring.zero())
+
+    m = [[form(1) for _ in range(3)] for _ in range(2)]
+    minors = [m[0][i] * m[1][j] - m[0][j] * m[1][i]
+              for i, j in ((0, 1), (0, 2), (1, 2))]
+    return Ideal(ring, minors + [form(3)])
 
 
 def test_generator_profile_simple():
     ring = PolynomialRing(prime=101, nvars=3)
     x, y, z = ring.gens()
-    profile, complete = generator_profile(Ideal(ring, [x, y, x * x + z * z]))
-    assert complete
-    assert profile == {1: 2, 2: 1}
-    profile, complete = generator_profile(Ideal(ring, [x * x, x * y, y * y,
-                                                       x * z * z]))
-    assert profile == {2: 3, 3: 1}
-    assert generator_profile(Ideal(ring, []))[0] == {}
-
-
-def test_generator_profile_truncation_flag(monkeypatch):
-    import theta_loci.pipeline as pl
-
-    ring = PolynomialRing(prime=101, nvars=3)
-    x, y, z = ring.gens()
-    ideal = Ideal(ring, [x * x, x * y, y * y, x * z * z])
-    monkeypatch.setattr(pl, "_PROFILE_WORK_CAP", 1)
-    profile, complete = generator_profile(ideal)
-    assert not complete
-    assert profile == {2: 3}  # truncated below the degree-3 generator
+    cases = [
+        (Ideal(ring, [x, y, x * x + z * z]), {1: 2, 2: 1}),
+        (Ideal(ring, [x * x, x * y, y * y, x * z * z]), {2: 3, 3: 1}),
+        (Ideal(ring, [x * y, x * y + y * z, x * x * y, z ** 3 + x * y * z]),
+         {2: 2, 3: 1}),
+        # above 2^32 a p^2 product no longer fits in 64 bits
+        (_twisted_cubic_plus_cubic(4294967311, seed=5), {2: 3, 3: 1}),
+    ]
+    for ideal, expected in cases:
+        assert generator_profile(ideal) == expected
+        assert _dense_profile(ideal) == expected
+    assert generator_profile(Ideal(ring, [])) == {}
+    assert generator_profile(Ideal(ring, [x, ring.one()])) == {}
+    with pytest.raises(UsageError):
+        generator_profile(Ideal(ring, [x * x + y]))
 
 
 def test_c5w25_report_passes():
@@ -150,22 +197,6 @@ def test_w39_report_byte_determinism(w39_report):
     fresh = run_case("w39", prime=101, seed=1)
     assert report_emit(fresh, "json", include_timings=False) == \
         report_emit(w39_report(1), "json", include_timings=False)
-
-
-def test_threaded_pfaffians_deterministic(monkeypatch):
-    from theta_loci.multilinear import (pfaffian_ideal, random_section,
-                                        w39_matrix, worker_count)
-
-    monkeypatch.setenv("THETA_LOCI_THREADS", "4")
-    assert worker_count() == 4
-    section = random_section("w39", 1, 101)
-    M = w39_matrix(section)
-    threaded = pfaffian_ideal(M, 6)
-    monkeypatch.setenv("THETA_LOCI_THREADS", "1")
-    sequential = pfaffian_ideal(M, 6)
-    assert threaded.generators == sequential.generators
-    monkeypatch.setenv("THETA_LOCI_THREADS", "bogus")
-    assert worker_count() == 1
 
 
 def test_c3c3c3_chart_swap_informational():
