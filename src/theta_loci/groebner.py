@@ -4,14 +4,14 @@ Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
 degree) selection.  Monomials are packed into single integers so that integer
 comparison realizes the term order and integer addition realizes monomial
 multiplication; divisibility uses a SWAR check on a parallel plain packing.
-Inputs join the pair queue by degree, so one run also counts the minimal
-generators of a homogeneous ideal.
+Inputs join the pair queue by degree, so the run that builds a basis also
+counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and a plain
-variable there is an equivalent fast path exploiting the degrevlex fact that
-a homogeneous polynomial is divisible by the last variable exactly when its
-leading monomial is; the two paths agree and both are tested.
+variable there is a fast path: dividing each element of a degrevlex basis by
+its largest power of the last variable gives a Groebner basis of the
+saturation (Bayer-Stillman); the two paths agree and both are tested.
 """
 
 from __future__ import annotations
@@ -85,13 +85,19 @@ class MonomialOrder:
         return tuple(out)
 
     def packed(self, exps) -> tuple[int, int]:
-        """(plain packing, variable-support bitmask) for divisibility tests."""
+        """(plain packing, variable-support bitmask) for divisibility tests.
+
+        Keys formed by addition inside the engine carry exponents below
+        2 * _MAXEXP; one at or above _MAXEXP would defeat the SWAR guard.
+        """
         pk = 0
         mask = 0
         for i, e in enumerate(exps):
             if e:
                 pk += e << (_BITS * i)
                 mask |= 1 << i
+        if pk & self._guard:
+            raise UsageError("exponent too large for packed order")
         return pk, mask
 
     def divides(self, pk_small: int, pk_big: int) -> bool:
@@ -362,11 +368,17 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced, monic, canonically sorted Groebner basis."""
+    """Reduced, monic, canonically sorted Groebner basis.
+
+    mu[d] counts the degree-d inputs that the engine run which built the
+    basis left with a nonzero remainder.  For homogeneous generators that is
+    the number of degree-d minimal generators of the ideal.
+    """
 
     ring: PolynomialRing
     order: str
     elements: tuple[Polynomial, ...]
+    mu: dict[int, int] = field(compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -414,9 +426,9 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
     if order is None:
         order = MonomialOrder(ring.nvars)
     dicts = [_to_dict(g, order) for g in gens]
-    out, _ = _buchberger_dicts(dicts, ring.prime, order)
+    out, mu = _buchberger_dicts(dicts, ring.prime, order)
     return GroebnerBasis(ring, order.descriptor,
-                         tuple(_from_dict(d, ring, order) for d in out))
+                         tuple(_from_dict(d, ring, order) for d in out), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -477,32 +489,26 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
     """I : z_n^infty for homogeneous I, by dividing degrevlex basis elements.
 
     In degrevlex with z_n last, a homogeneous polynomial is divisible by z_n
-    exactly when its leading monomial is; dividing out and recomputing until
-    no basis element is divisible yields the saturation.
+    exactly when its leading monomial is, so dividing each element of the
+    basis once by its largest power of z_n gives a Groebner basis of the
+    saturation (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
+    One engine run over the divided set reduces it and counts its mu.
     """
     ring = ideal.ring
     last = ring.nvars - 1
-    gens = list(ideal.generators)
-    while True:
-        gb = buchberger_reduced(Ideal(ring, gens)) if gens else None
-        if gb is None:
-            return Ideal(ring, (), saturated=True)
-        changed = False
-        new_gens = []
-        for g in gb.elements:
-            e = min(m.exponents[last] for m, _ in g.terms)
-            if e > 0:
-                changed = True
-                d = {m.exponents[:last] + (m.exponents[last] - e,): c
-                     for m, c in g.terms}
-                g = ring.from_exponent_dict(d)
-            new_gens.append(g)
-        if not changed:
-            out = Ideal(ring, new_gens, saturated=True)
-            out._gb_cache["degrevlex"] = GroebnerBasis(ring, "degrevlex",
-                                                       tuple(new_gens))
-            return out
-        gens = new_gens
+    gb = ideal.groebner_basis()
+    divided = []
+    for g in gb.elements:
+        e = min(m.exponents[last] for m, _ in g.terms)
+        if e > 0:
+            g = ring.from_exponent_dict(
+                {m.exponents[:last] + (m.exponents[last] - e,): c for m, c in g.terms})
+        divided.append(g)
+    if divided != list(gb.elements):
+        gb = buchberger_reduced(Ideal(ring, divided))
+    out = Ideal(ring, gb.elements, saturated=True)
+    out._gb_cache[gb.order] = gb
+    return out
 
 
 def _permute_ring(ring: PolynomialRing, perm) -> PolynomialRing:
@@ -841,7 +847,6 @@ def hilbert(ideal: Ideal) -> HilbertData:
     if dim <= 0:
         hp = UnivariatePolynomial.zero()
     else:
-        # HF(d) = sum_j q_j * C(d - j + dim - 1, dim - 1), expanded in d
         # HF(d) = sum_j q_j * C(d - j + dim - 1, dim - 1)
         #       = sum_j q_j * prod_{k=1}^{dim-1} (d - j + k) / (dim - 1)!
         hp = UnivariatePolynomial.zero()
@@ -863,17 +868,13 @@ def hilbert(ideal: Ideal) -> HilbertData:
 def generator_profile(ideal: Ideal) -> dict[int, int]:
     """Minimal generator counts by degree, {degree: count}, for homogeneous I.
 
-    The engine's mu over the reduced degrevlex basis; the zero and the unit
-    ideal have none.
+    Read from the mu of the degrevlex basis, so it makes no engine run of its
+    own; the zero and the unit ideal have none.
     """
     _require_homogeneous(ideal)
     if ideal.is_unit():
         return {}
-    order = MonomialOrder(ideal.ring.nvars)
-    gb = ideal.groebner_basis(order)
-    _, mu = _buchberger_dicts([_to_dict(g, order) for g in gb.elements],
-                              ideal.ring.prime, order)
-    return mu
+    return dict(ideal.groebner_basis().mu)
 
 
 def resolution_hilbert_numerator(terms) -> UnivariatePolynomial:

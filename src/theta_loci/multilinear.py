@@ -44,9 +44,13 @@ class SplitMix64:
 
 
 class SkewMatrix:
-    """Square antisymmetric matrix of polynomials; diagonal zero enforced."""
+    """Square antisymmetric matrix of polynomials; diagonal zero enforced.
 
-    __slots__ = ("ring", "size", "entries")
+    Instances are immutable apart from an internal memo of principal
+    sub-Pfaffians, keyed by the bitmask of their row indices.
+    """
+
+    __slots__ = ("ring", "size", "entries", "_pf_memo")
 
     def __init__(self, ring: PolynomialRing, entries):
         n = len(entries)
@@ -62,6 +66,7 @@ class SkewMatrix:
         self.ring = ring
         self.size = n
         self.entries = tuple(tuple(row) for row in entries)
+        self._pf_memo: dict[int, Polynomial] = {}
 
     @classmethod
     def from_upper(cls, ring: PolynomialRing, size: int, upper) -> "SkewMatrix":
@@ -113,39 +118,38 @@ def _det_cofactor(ring, rows) -> Polynomial:
 def pfaffian(matrix: SkewMatrix) -> Polynomial:
     """Pfaffian; odd sizes give 0.  Convention: Pf([[0,a],[-a,0]]) = a.
 
-    Recursive expansion along the smallest live index, memoized on the set of
-    live indices.
+    Recursive expansion along the smallest live index.  Every sub-Pfaffian
+    is memoized on the matrix, keyed by the bitmask of its live indices, and
+    pfaffian_ideal reads the same memo, so Pfaffian ideals of several sizes
+    of one matrix compute each principal sub-Pfaffian once.
     """
+    if matrix.size % 2:
+        return matrix.ring.zero()
+    return _sub_pfaffian(matrix, (1 << matrix.size) - 1)
+
+
+def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> Polynomial:
+    """Pfaffian of the principal submatrix on the indices set in mask."""
+    memo = matrix._pf_memo
+    got = memo.get(mask)
+    if got is not None:
+        return got
     ring = matrix.ring
-    n = matrix.size
-    if n % 2:
-        return ring.zero()
-    if n == 0:
+    if mask == 0:
         return ring.one()
-    entries = matrix.entries
-    memo: dict[int, Polynomial] = {}
-
-    def rec(mask: int) -> Polynomial:
-        if mask == 0:
-            return ring.one()
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        idx = [i for i in range(n) if mask & (1 << i)]
-        first = idx[0]
-        total = ring.zero()
-        sign = 1  # position 2 in the sorted index list carries +
-        for j in idx[1:]:
-            a = entries[first][j]
-            if not a.is_zero():
-                rest = mask & ~(1 << first) & ~(1 << j)
-                term = a * rec(rest)
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return rec((1 << n) - 1)
+    idx = [i for i in range(matrix.size) if mask & (1 << i)]
+    first = idx[0]
+    row = matrix.entries[first]
+    total = ring.zero()
+    sign = 1  # position 2 in the sorted index list carries +
+    for j in idx[1:]:
+        a = row[j]
+        if not a.is_zero():
+            term = a * _sub_pfaffian(matrix, mask & ~(1 << first) & ~(1 << j))
+            total = total + (term if sign > 0 else -term)
+        sign = -sign
+    memo[mask] = total
+    return total
 
 
 def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
@@ -154,7 +158,7 @@ def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
         raise UsageError("Pfaffian ideal size must be even")
     if size > matrix.size:
         raise UsageError("submatrix size exceeds matrix size")
-    pfs = [pfaffian(matrix.submatrix(s))
+    pfs = [_sub_pfaffian(matrix, sum(1 << i for i in s))
            for s in combinations(range(matrix.size), size)]
     return Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
 

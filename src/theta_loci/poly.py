@@ -14,17 +14,34 @@ from typing import Iterable, Sequence
 from .errors import UsageError
 
 
-def is_prime(p: int) -> bool:
-    """Primality by trial division; inputs here are always tiny."""
-    if p < 2:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve bases above (Sorenson-Webster 2015)
+_PRIME_BOUND = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact below _PRIME_BOUND, which larger n raise."""
+    if n >= _PRIME_BOUND:
+        raise UsageError(f"modulus {n} is out of range: primality is decided "
+                         f"exactly only below {_PRIME_BOUND}")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

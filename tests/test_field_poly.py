@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_loci.errors import UsageError
 from theta_loci.poly import (Monomial, PolynomialRing, PrimeField,
@@ -17,6 +19,30 @@ def test_prime_validation():
     with pytest.raises(UsageError):
         PrimeField(91)  # 7 * 13
     assert is_prime(2_147_483_647)
+    PrimeField(2 ** 61 - 1)
+    # the least strong pseudoprime to the bases 2..37 bounds the range
+    for n in (318665857834031151167461, 2 ** 127 - 1):
+        with pytest.raises(UsageError, match="318665857834031151167461"):
+            PrimeField(n)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if _is_prime_by_trial_division(n)]
+    # Carmichael numbers, and strong pseudoprimes to the first few bases
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              3215031751, 3825123056546413051):
+        assert not is_prime(n)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10 ** 6 - 1))
+def test_miller_rabin_matches_trial_division(n):
+    assert is_prime(n) == _is_prime_by_trial_division(n)
 
 
 def test_inverse():

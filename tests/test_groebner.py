@@ -149,6 +149,10 @@ def test_saturate_idempotent(rxyz):
     assert once.groebner_basis().elements == twice.groebner_basis().elements
 
 
+def _divisible_by_last(g):
+    return all(m.exponents[-1] for m, _ in g.terms)
+
+
 def test_saturate_fast_path_matches_t_method(rxyz):
     """The degrevlex divide-out path agrees with the auxiliary-variable path."""
     from theta_loci.groebner import _saturate_last_variable
@@ -172,6 +176,7 @@ def test_saturate_fast_path_matches_t_method(rxyz):
         if not ideal.generators:
             continue
         fast = _saturate_last_variable(ideal)
+        assert not any(_divisible_by_last(g) for g in fast.groebner_basis())
         # force the general method by saturating by z through a product
         big_ring = ideal.ring
         slow = saturate(Ideal(big_ring, ideal.generators), z * z)  # z^2: t-method
@@ -181,6 +186,16 @@ def test_saturate_fast_path_matches_t_method(rxyz):
     ideal = Ideal(rxyz, [x * y, x * z])
     got = saturate(ideal, x)
     assert sorted(str(g) for g in got.generators) == ["y", "z"]
+
+
+def test_normal_form_rejects_exponent_overflow(rxyz):
+    """A reduction step that pushes an exponent past the packed range
+    raises, instead of misreading the SWAR divisibility guard."""
+    x, y, z = rxyz.gens()
+    f = x ** 20000 * y ** 13001
+    divisors = [y ** 30000 * z + x ** 20000 * y ** 10001, y ** 1000 * z]
+    with pytest.raises(UsageError, match="exponent too large"):
+        normal_form(f, divisors)
 
 
 def test_intersection_quotient_saturation_examples(rxyz):
@@ -259,9 +274,12 @@ def test_intersection_inclusion_exclusion():
             assert a.contains(g) and b.contains(g)
 
 
-def test_saturation_paths_agree_on_pipeline_ideal():
+def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     """The auxiliary-variable method and the degrevlex divide-out fast path
-    compute the same saturation of a real 28-cubic Pfaffian ideal."""
+    compute the same saturation of a real 28-cubic Pfaffian ideal.  The fast
+    path caches its engine-made basis, whose mu gives the profile, so
+    neither the profile nor the Hilbert data run the engine again."""
+    import theta_loci.groebner as groebner
     from theta_loci.groebner import (MonomialOrder, _drop_last, _extend_ring,
                                      _lift)
     from theta_loci.multilinear import (pfaffian_ideal, random_section,
@@ -273,6 +291,20 @@ def test_saturation_paths_agree_on_pipeline_ideal():
     z9 = ring.variable(8)
     raw = pfaffian_ideal(M, 6)
     fast = saturate(raw, z9)
+
+    calls = []
+    engine = groebner._buchberger_dicts
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
+    assert groebner.generator_profile(fast) == {2: 15, 3: 3}
+    assert groebner.hilbert(fast).degree == 12
+    assert calls == []
+    monkeypatch.undo()
+    assert not any(_divisible_by_last(g) for g in fast.groebner_basis())
 
     big = _extend_ring(ring, "t")
     t = big.variable(big.nvars - 1)

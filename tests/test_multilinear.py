@@ -1,6 +1,7 @@
 """Pfaffians, Pfaffian ideals, section-to-matrix builders, PRNG determinism."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,17 @@ def test_pfaffian_ideal_counts():
     m4 = m.submatrix((0, 1, 2, 3))
     principal = pfaffian_ideal(m4, 4)
     assert principal.generators == (pfaffian(m4),)
+
+
+def test_pfaffian_ideals_share_one_memo():
+    """Sizes 8, 6, 4 of one matrix, read through its shared memo, equal the
+    Pfaffians of fresh submatrices, in subset order with zeros dropped."""
+    m = w39_matrix(random_section("w39", 1, 101))
+    for size in (8, 6, 4):
+        expected = [pfaffian(m.submatrix(c))
+                    for c in combinations(range(m.size), size)]
+        got = pfaffian_ideal(m, size).generators
+        assert got == tuple(f for f in expected if not f.is_zero())
 
 
 def test_pfaffian_ideal_cubic_count_on_8x8():

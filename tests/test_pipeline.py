@@ -72,6 +72,7 @@ def test_generator_profile_simple():
          {2: 2, 3: 1}),
         # above 2^32 a p^2 product no longer fits in 64 bits
         (_twisted_cubic_plus_cubic(4294967311, seed=5), {2: 3, 3: 1}),
+        (_twisted_cubic_plus_cubic(2 ** 61 - 1, seed=5), {2: 3, 3: 1}),
     ]
     for ideal, expected in cases:
         assert generator_profile(ideal) == expected
