@@ -3,7 +3,10 @@
 Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
 degree) selection.  Monomials are packed into single integers so that integer
 comparison realizes the term order and integer addition realizes monomial
-multiplication; divisibility uses a SWAR check on a parallel plain packing.
+multiplication.  Divisibility is a SWAR check on the plain packing (one slot
+per variable), which is computed from the key by arithmetic, so the reduction
+loop never unpacks a term into exponents.  Coefficients of the working
+polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
@@ -33,7 +36,9 @@ class MonomialOrder:
     """Degrevlex, or a block elimination order with a dominant drop block.
 
     key(): packed integer; larger key == larger monomial, key(ab) = key(a)+key(b).
-    packed(): plain per-variable packing used for SWAR divisibility tests.
+    plain(key): plain packing for SWAR divisibility tests, derived from the key
+    by arithmetic; one slot per variable, keep block below drop block, and
+    plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).
     """
 
     def __init__(self, nvars: int, drop: tuple[int, ...] = ()):
@@ -65,40 +70,35 @@ class MonomialOrder:
         kd = self._revkey(exps, self.drop)
         return (kd << (_BITS * (len(self.keep) + 4))) + kk
 
-    def _unrev(self, key: int, k: int) -> tuple[int, ...]:
+    @staticmethod
+    def _unrev(key: int, k: int) -> int:
+        # inverse of _revkey: the degree is key / B^k rounded up
         deg = (key + (1 << (_BITS * k)) - 1) >> (_BITS * k)
-        n = (deg << (_BITS * k)) - key
-        return tuple((n >> (_BITS * slot)) & _MASK for slot in range(k))
+        return (deg << (_BITS * k)) - key
 
-    def exps(self, key: int) -> tuple[int, ...]:
-        if not self.drop:
-            return self._unrev(key, self.nvars)
-        shift = _BITS * (len(self.keep) + 4)
-        kd, kk = key >> shift, key & ((1 << shift) - 1)
-        ed = self._unrev(kd, len(self.drop))
-        ek = self._unrev(kk, len(self.keep))
-        out = [0] * self.nvars
-        for slot, i in enumerate(self.drop):
-            out[i] = ed[slot]
-        for slot, i in enumerate(self.keep):
-            out[i] = ek[slot]
-        return tuple(out)
-
-    def packed(self, exps) -> tuple[int, int]:
-        """(plain packing, variable-support bitmask) for divisibility tests.
+    def plain(self, key: int) -> int:
+        """Plain packing of a key; every exponent must stay below _MAXEXP.
 
         Keys formed by addition inside the engine carry exponents below
         2 * _MAXEXP; one at or above _MAXEXP would defeat the SWAR guard.
         """
-        pk = 0
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                pk += e << (_BITS * i)
-                mask |= 1 << i
+        if not self.drop:
+            pk = self._unrev(key, self.nvars)
+        else:
+            nk = len(self.keep)
+            shift = _BITS * (nk + 4)
+            pk = (self._unrev(key >> shift, len(self.drop)) << (_BITS * nk)) \
+                + self._unrev(key & ((1 << shift) - 1), nk)
         if pk & self._guard:
             raise UsageError("exponent too large for packed order")
-        return pk, mask
+        return pk
+
+    def exps(self, key: int) -> tuple[int, ...]:
+        pk = self.plain(key)
+        out = [0] * self.nvars
+        for slot, i in enumerate(self.keep + self.drop):
+            out[i] = (pk >> (_BITS * slot)) & _MASK
+        return tuple(out)
 
     def divides(self, pk_small: int, pk_big: int) -> bool:
         return ((pk_big | self._guard) - pk_small) & self._guard == self._guard
@@ -116,7 +116,6 @@ class _Basis:
         self.p = p
         self.lead_key: list[int] = []
         self.lead_pk: list[int] = []
-        self.lead_mask: list[int] = []
         self.lead_exps: list[tuple[int, ...]] = []
         self.tail: list[list[tuple[int, int]]] = []   # without the (monic) lead
         self.alive: list[bool] = []
@@ -124,68 +123,65 @@ class _Basis:
     def add(self, d: dict[int, int]) -> int:
         """Add a monic polynomial dict; returns its index."""
         k = max(d)
-        exps = self.order.exps(k)
-        pk, mask = self.order.packed(exps)
         self.lead_key.append(k)
-        self.lead_pk.append(pk)
-        self.lead_mask.append(mask)
-        self.lead_exps.append(exps)
+        self.lead_pk.append(self.order.plain(k))
+        self.lead_exps.append(self.order.exps(k))
         self.tail.append(sorted((kk, c) for kk, c in d.items() if kk != k))
         self.alive.append(True)
         return len(self.lead_key) - 1
 
-    def find_reducer(self, pk: int, mask: int) -> int:
-        order = self.order
-        lead_mask = self.lead_mask
-        lead_pk = self.lead_pk
+    def find_reducer(self, pk: int) -> int:
+        """Index of the first live element whose lead divides plain pk, or -1."""
+        guard = self.order._guard
+        big = pk | guard
         alive = self.alive
-        guard = order._guard
-        for i in range(len(lead_pk)):
-            if not alive[i]:
-                continue
-            if lead_mask[i] & ~mask:
-                continue
-            if ((pk | guard) - lead_pk[i]) & guard == guard:
+        for i, lpk in enumerate(self.lead_pk):
+            if alive[i] and (big - lpk) & guard == guard:
                 return i
         return -1
 
 
 def _normal_form_dict(f: dict[int, int], basis: _Basis) -> dict[int, int]:
-    """Remainder of f on division by the (monic) basis elements."""
+    """Remainder of f on division by the (monic) basis elements.
+
+    Coefficients are reduced mod p only when their term is popped.  A term a
+    reduction step makes lies below the popped term, so no key is pushed twice.
+    """
     p = basis.p
-    order = basis.order
+    plain = basis.order.plain
+    find_reducer = basis.find_reducer
     cur = dict(f)
     out: dict[int, int] = {}
     heap = [-k for k in cur]
     heapq.heapify(heap)
     while heap:
         k = -heapq.heappop(heap)
-        c = cur.get(k)
+        c = cur.pop(k) % p
         if not c:
             continue
-        pk, mask = order.packed(order.exps(k))
-        i = basis.find_reducer(pk, mask)
+        i = find_reducer(plain(k))
         if i < 0:
             out[k] = c
-            del cur[k]
             continue
-        del cur[k]
         shift = k - basis.lead_key[i]
         for tk, tc in basis.tail[i]:
             nk = tk + shift
             prev = cur.get(nk)
             if prev is None:
-                nc = (-c * tc) % p
-                if nc:
-                    cur[nk] = nc
-                    heapq.heappush(heap, -nk)
+                cur[nk] = -c * tc
+                heapq.heappush(heap, -nk)
             else:
-                nc = (prev - c * tc) % p
-                if nc:
-                    cur[nk] = nc
-                else:
-                    del cur[nk]
+                cur[nk] = prev - c * tc
     return out
+
+
+def _monic(d: dict[int, int], p: int) -> dict[int, int]:
+    """d scaled so that its coefficient at the largest key is 1."""
+    lc = d[max(d)]
+    if lc == 1:
+        return d
+    inv = pow(lc, p - 2, p)
+    return {k: (c * inv) % p for k, c in d.items()}
 
 
 def _spoly(basis: _Basis, i: int, j: int, lcm_key: int) -> dict[int, int]:
@@ -225,14 +221,12 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
         # Gebauer-Moeller installation of the Buchberger criteria.
         t = basis.add(d)
         et = basis.lead_exps[t]
-        maskt = basis.lead_mask[t]
+        kt = basis.lead_key[t]
         pkt = basis.lead_pk[t]
         # old pairs: keep (i,j) unless lm_t | lcm(i,j) strictly refines it
         kept = []
         for deg, lk, i, j in pairs:
-            lexps = order.exps(lk)
-            lpk, lmask = order.packed(lexps)
-            if not ((maskt & ~lmask) == 0 and order.divides(pkt, lpk)):
+            if not order.divides(pkt, order.plain(lk)):
                 kept.append((deg, lk, i, j))
                 continue
             if _lcm_key(order, basis.lead_exps[i], et) == lk or \
@@ -244,23 +238,22 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             if not basis.alive[i]:
                 continue
             groups.setdefault(_lcm_key(order, basis.lead_exps[i], et), []).append(i)
-        minimal: list[tuple[int, int, int]] = []  # (lcm key, lcm pk, member)
+        minimal: list[int] = []  # plain packings of the kept lcms
         for lk in sorted(groups):
-            lexps = order.exps(lk)
-            lpk, _ = order.packed(lexps)
-            if any(order.divides(mpk, lpk) for _, mpk, _ in minimal):
+            lpk = order.plain(lk)
+            if any(order.divides(mpk, lpk) for mpk in minimal):
                 continue
-            # Buchberger's product criterion kills the whole lcm class
-            if any((basis.lead_mask[i] & maskt) == 0 for i in groups[lk]):
+            # Buchberger's product criterion kills the whole lcm class; the
+            # leads are coprime exactly when key(lcm) = key(lead_i) + key(lead_t)
+            if any(basis.lead_key[i] + kt == lk for i in groups[lk]):
                 continue
-            minimal.append((lk, lpk, groups[lk][0]))
-            kept.append((sum(lexps), lk, groups[lk][0], t))
+            minimal.append(lpk)
+            kept.append((sum(order.exps(lk)), lk, groups[lk][0], t))
         heapq.heapify(kept)
         pairs[:] = kept
         # prune now-redundant reducers
         for i in range(t):
-            if basis.alive[i] and (maskt & ~basis.lead_mask[i]) == 0 \
-                    and order.divides(pkt, basis.lead_pk[i]):
+            if basis.alive[i] and order.divides(pkt, basis.lead_pk[i]):
                 basis.alive[i] = False
 
     seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
@@ -278,33 +271,25 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             _, lk, i, j = heapq.heappop(pairs)
             r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
         if r:
-            lc = r[max(r)]
-            if lc != 1:
-                inv = pow(lc, p - 2, p)
-                r = {k: (c * inv) % p for k, c in r.items()}
-            update(r)
+            update(_monic(r, p))
 
-    # minimalize + tail-reduce (classical interreduction to the reduced basis)
+    # interreduction: only the minimal leads stay alive; a lead divides no
+    # term below it, so each tail is reduced once against that one basis
     live = [i for i in range(len(basis.lead_key)) if basis.alive[i]]
     live.sort(key=lambda i: basis.lead_key[i])
     minimal_idx: list[int] = []
     for i in live:
-        if not any((basis.lead_mask[j] & ~basis.lead_mask[i]) == 0 and
-                   order.divides(basis.lead_pk[j], basis.lead_pk[i])
+        if not any(order.divides(basis.lead_pk[j], basis.lead_pk[i])
                    for j in minimal_idx):
             minimal_idx.append(i)
+    basis.alive = [False] * len(basis.alive)
+    for i in minimal_idx:
+        basis.alive[i] = True
     reduced: list[dict[int, int]] = []
     for i in minimal_idx:
-        sub = _Basis(order, p)
-        for j in minimal_idx:
-            if j != i:
-                d = dict(basis.tail[j])
-                d[basis.lead_key[j]] = 1
-                sub.add(d)
-        d = dict(basis.tail[i])
+        d = _normal_form_dict(dict(basis.tail[i]), basis)
         d[basis.lead_key[i]] = 1
-        reduced.append(_normal_form_dict(d, sub))
-    reduced.sort(key=max)
+        reduced.append(d)
     return reduced, mu
 
 
@@ -409,7 +394,7 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
         if g.ring != ring:
             raise UsageError("divisor from a different ring")
         if not g.is_zero():
-            basis.add(_to_dict(g.monic(), order))
+            basis.add(_monic(_to_dict(g, order), ring.prime))
     return _from_dict(_normal_form_dict(_to_dict(f, order), basis), ring, order)
 
 
@@ -454,6 +439,17 @@ def _drop_last(f: Polynomial, small: PolynomialRing) -> Polynomial:
     return small.from_exponent_dict(d)
 
 
+def _avoiding(elements, drop) -> list[Polynomial]:
+    """The elements none of whose terms involve a variable in drop.
+
+    Of a basis under a block order with drop dominant, these are the
+    elements whose lead avoids drop, and they generate the contraction.
+    Polynomial.leading_monomial is the degrevlex lead and cannot decide it.
+    """
+    return [g for g in elements
+            if not any(m.exponents[i] for m, _ in g.terms for i in drop)]
+
+
 def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     """Generators of the contraction to the subring without drop_vars.
 
@@ -474,15 +470,20 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     if not drop:
         return Ideal(ring, ideal.generators)
     order = MonomialOrder(ring.nvars, tuple(sorted(drop)))
-    gb = buchberger_reduced(ideal, order)
-    kept = []
-    for g in gb.elements:
-        lead = g.leading_monomial().exponents
-        if all(lead[i] == 0 for i in drop):
-            if any(m.exponents[i] for m, _ in g.terms for i in drop):
-                raise UsageError("elimination order violated")  # unreachable
-            kept.append(g)
-    return Ideal(ring, kept)
+    return Ideal(ring, _avoiding(buchberger_reduced(ideal, order).elements, drop))
+
+
+def _keeping_basis(gb: GroebnerBasis, src: Ideal, saturated: bool = False) -> Ideal:
+    """The ideal generated by gb, with gb cached on it.
+
+    gb must be a basis of src.  It is cached only when src's generators are
+    homogeneous: mu counts minimal generators only then, and an inhomogeneous
+    ideal can have a homogeneous basis ((x + y^2, y^2) has basis (x, y^2)).
+    """
+    out = Ideal(gb.ring, gb.elements, saturated=saturated)
+    if src.homogeneous:
+        out._gb_cache[gb.order] = gb
+    return out
 
 
 def _saturate_last_variable(ideal: Ideal) -> Ideal:
@@ -506,9 +507,7 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
         divided.append(g)
     if divided != list(gb.elements):
         gb = buchberger_reduced(Ideal(ring, divided))
-    out = Ideal(ring, gb.elements, saturated=True)
-    out._gb_cache[gb.order] = gb
-    return out
+    return _keeping_basis(gb, ideal, saturated=True)
 
 
 def _permute_ring(ring: PolynomialRing, perm) -> PolynomialRing:
@@ -528,8 +527,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     if f.ring != ring:
         raise UsageError("saturating polynomial from a different ring")
     if f.is_constant():
-        gb = ideal.groebner_basis()
-        return Ideal(ring, gb.elements, saturated=True)
+        return _keeping_basis(ideal.groebner_basis(), ideal, saturated=True)
     if ideal.is_zero():
         return Ideal(ring, (), saturated=True)
     # fast path: f is a single variable and I is homogeneous
@@ -553,8 +551,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     gens.append(t * _lift(f, big) - 1)
     elim = buchberger_reduced(Ideal(big, gens),
                               MonomialOrder(big.nvars, (big.nvars - 1,)))
-    kept = [g for g in elim.elements
-            if g.leading_monomial().exponents[big.nvars - 1] == 0]
+    kept = _avoiding(elim.elements, (big.nvars - 1,))
     return Ideal(ring, [_drop_last(g, ring) for g in kept], saturated=True)
 
 
@@ -572,8 +569,7 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     gens += [one_minus_t * _lift(g, big) for g in b.generators]
     elim = buchberger_reduced(Ideal(big, gens),
                               MonomialOrder(big.nvars, (big.nvars - 1,)))
-    kept = [g for g in elim.elements
-            if g.leading_monomial().exponents[big.nvars - 1] == 0]
+    kept = _avoiding(elim.elements, (big.nvars - 1,))
     return Ideal(ring, [_drop_last(g, ring) for g in kept])
 
 
@@ -606,13 +602,13 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
     out: Ideal | None = None
     for g in b.generators:
         if g.is_constant():
-            part = Ideal(ring, a.groebner_basis().elements)
+            part = _keeping_basis(a.groebner_basis(), a)
         else:
             meet = ideal_intersection(a, Ideal(ring, (g,)))
             part = Ideal(ring, [_exact_divide(h, g) for h in meet.generators])
         out = part if out is None else ideal_intersection(out, part)
     assert out is not None
-    return Ideal(ring, out.groebner_basis().elements)
+    return _keeping_basis(out.groebner_basis(), out)
 
 
 def _variable_indices(ideal: Ideal) -> list[int] | None:
@@ -644,13 +640,12 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
             part = saturate(a, ring.variable(i))
             out = part if out is None else ideal_intersection(out, part)
         assert out is not None
-        gb = out.groebner_basis()
-        return Ideal(ring, gb.elements, saturated=True)
-    cur = Ideal(ring, a.groebner_basis().elements)
+        return _keeping_basis(out.groebner_basis(), out, saturated=True)
+    cur = _keeping_basis(a.groebner_basis(), a)
     while True:
         nxt = ideal_quotient(cur, b)
         if nxt.groebner_basis().elements == cur.groebner_basis().elements:
-            return Ideal(ring, cur.groebner_basis().elements, saturated=True)
+            return _keeping_basis(cur.groebner_basis(), cur, saturated=True)
         cur = nxt
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced,
-                                 eliminate, ideal_intersection, ideal_quotient,
+                                 eliminate, generator_profile,
+                                 ideal_intersection, ideal_quotient,
                                  normal_form, saturate, saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
 
@@ -23,6 +24,8 @@ def test_normal_form_examples(rxyz):
     assert normal_form(x * x * y + y, [x * x - y]) == y * y + y
     f = x * y + z
     assert normal_form(f, []) == f
+    # divisors are made monic at their lead under the given order, here y
+    assert normal_form(y, [2 * x * x + y], MonomialOrder(3, (1,))) == -2 * x * x
 
 
 def test_normal_form_properties(rxyz):
@@ -127,6 +130,9 @@ def test_eliminate_examples():
     assert [str(g) for g in got.generators] == ["x^2 + 100*y"]
     same = eliminate(Ideal(ring, [x]), [])
     assert [str(g) for g in same.generators] == ["x"]
+    # t + x^2 leads with t under the elimination order but with x^2 in degrevlex
+    got = eliminate(Ideal(ring, [t + x * x, t * y - x]), ["t"])
+    assert [str(g) for g in got.generators] == ["x^2*y + x"]
 
 
 def test_saturate_examples(rxyz):
@@ -139,6 +145,10 @@ def test_saturate_examples(rxyz):
     assert saturate(ideal, rxyz.one()) == ideal
     with pytest.raises(UsageError):
         saturate(ideal, rxyz.zero())
+    # the basis (x, y^2) of an inhomogeneous ideal is homogeneous, but the
+    # engine's mu for (x + y^2, y^2) is {2: 2}: the profile must not reuse it
+    got = saturate(Ideal(rxyz, [x + y * y, y * y]), rxyz.one())
+    assert generator_profile(got) == {1: 1, 2: 1}
 
 
 def test_saturate_idempotent(rxyz):
@@ -196,6 +206,10 @@ def test_normal_form_rejects_exponent_overflow(rxyz):
     divisors = [y ** 30000 * z + x ** 20000 * y ** 10001, y ** 1000 * z]
     with pytest.raises(UsageError, match="exponent too large"):
         normal_form(f, divisors)
+    # under the elimination order the drop block is laid out above the keep
+    # block; y^33001*z must still trip the guard
+    with pytest.raises(UsageError, match="exponent too large"):
+        normal_form(f, divisors, order=MonomialOrder(3, (0,)))
 
 
 def test_intersection_quotient_saturation_examples(rxyz):
@@ -225,6 +239,31 @@ def test_saturate_by_ideal_general_path(rxyz):
     got = saturate_by_ideal(ideal, Ideal(rxyz, [x + y]))
     expect = buchberger_reduced(Ideal(rxyz, [z * z, y]))
     assert got.groebner_basis().elements == expect.elements
+
+
+def test_reduction_loop_never_unpacks_a_term(monkeypatch):
+    """Normal forms read divisibility from the packed keys alone, under
+    degrevlex and under a block order."""
+    import theta_loci.groebner as groebner
+
+    ring = PolynomialRing(prime=101, nvars=4)
+    a, b, c, d = ring.gens()
+    gens = [a * b - c * c, b ** 3 - 7 * a * c * d, c * d - a * a + 3 * b * d]
+    f = a ** 3 * b * d + 5 * b ** 4 * c - c ** 3 * d * d + 2 * a * d
+    for order in (MonomialOrder(4), MonomialOrder(4, (0, 2))):
+        gb = buchberger_reduced(gens, order).elements
+        basis = groebner._Basis(order, ring.prime)
+        for g in gb:
+            basis.add(groebner._to_dict(g, order))
+        expected = normal_form(f, gb, order)
+
+        def unpack(self, key):
+            raise AssertionError("exponent tuple built in the reduction loop")
+
+        monkeypatch.setattr(MonomialOrder, "exps", unpack)
+        got = groebner._normal_form_dict(groebner._to_dict(f, order), basis)
+        monkeypatch.undo()
+        assert got and groebner._from_dict(got, ring, order) == expected
 
 
 def test_elimination_order_blocks():
@@ -290,16 +329,27 @@ def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     ring = M.ring
     z9 = ring.variable(8)
     raw = pfaffian_ideal(M, 6)
-    fast = saturate(raw, z9)
 
     calls = []
+    pairs = []
     engine = groebner._buchberger_dicts
+    spoly = groebner._spoly
 
     def counted(*args):
         calls.append(len(args[0]))
         return engine(*args)
 
+    def counted_spoly(*args):
+        pairs.append(args[1:])
+        return spoly(*args)
+
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
+    monkeypatch.setattr(groebner, "_spoly", counted_spoly)
+    fast = saturate(raw, z9)
+    # the engine's work counts pin its algorithm: basis of raw, then of the
+    # divided set
+    assert (len(calls), len(pairs)) == (2, 379)
+    calls.clear()
     assert groebner.generator_profile(fast) == {2: 15, 3: 3}
     assert groebner.hilbert(fast).degree == 12
     assert calls == []
@@ -318,6 +368,11 @@ def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     assert slow.groebner_basis().elements == fast.groebner_basis().elements
 
 
+def _to_sympy(f, sring):
+    """f in the sympy polynomial ring sring, whose generators are f's variables."""
+    return sring.from_dict({m.exponents: c for m, c in f.terms})
+
+
 def test_against_sympy_groebner():
     """Reduced bases agree with an independent implementation."""
     import sympy as sp
@@ -327,16 +382,7 @@ def test_against_sympy_groebner():
     for nvars in (3, 4):
         ring = PolynomialRing(prime=101, nvars=nvars)
         names = ",".join(f"x{i}" for i in range(nvars))
-        sring, *gens_s = sp.ring(names, sp.FF(101), "grevlex")
-
-        def to_sympy(f):
-            out = sring.zero
-            for m, c in f.terms:
-                term = sring.one * c
-                for g, e in zip(gens_s, m.exponents):
-                    term *= g ** e
-                out += term
-            return out
+        sring = sp.ring(names, sp.FF(101), "grevlex")[0]
 
         for _ in range(10):
             gens = []
@@ -348,7 +394,42 @@ def test_against_sympy_groebner():
                         exps[rng.randrange(nvars)] += 1
                     d[tuple(exps)] = rng.randrange(1, 101)
                 gens.append(ring.from_exponent_dict(d))
-            ours = {to_sympy(g) for g in
+            ours = {_to_sympy(g, sring) for g in
                     buchberger_reduced(Ideal(ring, gens)).elements}
-            theirs = set(ring_groebner([to_sympy(g) for g in gens], sring))
+            theirs = set(ring_groebner([_to_sympy(g, sring) for g in gens],
+                                       sring))
             assert ours == theirs
+
+
+def test_eliminate_against_sympy_lex():
+    """Elimination orders agree with sympy: the lex basis elements free of
+    the dropped variables generate the contraction, so sympy's grevlex basis
+    of them equals our degrevlex basis of eliminate's output."""
+    import sympy as sp
+    from sympy.polys.groebnertools import groebner as ring_groebner
+
+    rng = random.Random(91)
+    for nvars in (3, 4):
+        ring = PolynomialRing(prime=101, nvars=nvars)
+        names = ",".join(f"x{i}" for i in range(nvars))
+        grevlex = sp.ring(names, sp.FF(101), "grevlex")[0]
+        lex = sp.ring(names, sp.FF(101), "lex")[0]
+        for drop in ((0,), (0, 1)):
+            for _ in range(6):
+                gens = []
+                for _ in range(3):
+                    d = {}
+                    for _ in range(rng.randrange(2, 4)):
+                        exps = [0] * nvars
+                        for _ in range(rng.randrange(1, 3)):
+                            exps[rng.randrange(nvars)] += 1
+                        d[tuple(exps)] = rng.randrange(1, 101)
+                    gens.append(ring.from_exponent_dict(d))
+                lex_basis = ring_groebner([_to_sympy(g, lex) for g in gens], lex)
+                free = [g.set_ring(grevlex) for g in lex_basis
+                        if not any(m[i] for m in g.monoms() for i in drop)]
+                theirs = set(ring_groebner(free, grevlex)) if free else set()
+                contraction = eliminate(Ideal(ring, gens), drop)
+                ours = {_to_sympy(g, grevlex)
+                        for g in contraction.groebner_basis().elements}
+                assert ours == theirs

@@ -172,6 +172,23 @@ def test_c3c3c3_report():
     assert meet.degree == 3
 
 
+def test_c3c3c3_reuses_computed_bases(monkeypatch):
+    """Saturations, quotients and constant saturations hand their basis to
+    the ideal they return, so the records do not run the engine on it again."""
+    import theta_loci.groebner as groebner
+
+    runs = []
+    engine = groebner._buchberger_dicts
+
+    def counted(*args):
+        runs.append(len(args[0]))
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
+    assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
+    assert len(runs) == 46
+
+
 def test_nongeneric_is_flagged_not_crashed():
     # over F_2 this seed gives a degenerate pencil: codim drops to 2
     report = run_case("c5w25", prime=2, seed=6)

@@ -32,3 +32,12 @@ def test_keys_add_like_monomials_multiply(order, a, b):
     ab = tuple(x + y for x, y in zip(a, b))
     assert order.key(a) + order.key(b) == order.key(ab)
     assert order.exps(order.key(ab)) == ab
+
+
+@settings(deadline=None)
+@given(orders, st.one_of(exponents, small_exponents),
+       st.one_of(exponents, small_exponents))
+def test_plain_packing_divides_and_adds_like_monomials(order, a, b):
+    pa, pb = order.plain(order.key(a)), order.plain(order.key(b))
+    assert order.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert order.plain(order.key(a) + order.key(b)) == pa + pb
