@@ -3,6 +3,7 @@
 import json
 import random
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from theta_loci.pipeline import (GALLERY, example_gallery, generator_profile,
                                  report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import _rank_mod_p
+
+GOLDEN = Path(__file__).parent / "data" / "reports"
 
 
 def _dense_profile(ideal):
@@ -102,6 +105,15 @@ def test_report_json_determinism():
     payload = json.loads(report_emit(a, "json"))
     assert payload["case"] == "c5w25"
     assert payload["status"] == "PASS"
+    # committed reports pin the byte-stable output across changes
+    runs = {"c5w25_p101_seed1": lambda: run_case("c5w25", prime=101, seed=1),
+            "c5w25_p101_seed4": lambda: run_case("c5w25", prime=101, seed=4),
+            "c3c3c3_p32003_seed1": lambda: run_case("c3c3c3", prime=32003, seed=1)}
+    for name in GALLERY:
+        runs[f"gallery_{name}"] = lambda name=name: example_gallery(name)
+    for stem, run in runs.items():
+        golden = (GOLDEN / f"{stem}.json").read_text()
+        assert report_emit(run(), "json", include_timings=False) == golden, stem
 
 
 def test_report_text_format():
@@ -213,8 +225,9 @@ def test_w39_seed_independence(w39_report):
 
 def test_w39_report_byte_determinism(w39_report):
     fresh = run_case("w39", prime=101, seed=1)
-    assert report_emit(fresh, "json", include_timings=False) == \
-        report_emit(w39_report(1), "json", include_timings=False)
+    cached = report_emit(w39_report(1), "json", include_timings=False)
+    assert report_emit(fresh, "json", include_timings=False) == cached
+    assert cached == (GOLDEN / "w39_p101_seed1.json").read_text()
 
 
 def test_c3c3c3_chart_swap_informational():

@@ -1,10 +1,10 @@
-"""Property tests for the packed monomial keys of the Groebner engine."""
+"""Property tests for packed monomial keys and polynomial arithmetic."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_loci.groebner import _MAXEXP, MonomialOrder
-from theta_loci.poly import Monomial, degrevlex_cmp
+from theta_loci.poly import Monomial, PolynomialRing, degrevlex_cmp
 
 NVARS = 4
 # sums of two exponents drawn here stay inside the packed range
@@ -41,3 +41,53 @@ def test_plain_packing_divides_and_adds_like_monomials(order, a, b):
     pa, pb = order.plain(order.key(a)), order.plain(order.key(b))
     assert order.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
     assert order.plain(order.key(a) + order.key(b)) == pa + pb
+
+
+@st.composite
+def polynomials(draw, count):
+    """A ring in 1-5 variables over a small prime, and count polynomials in it."""
+    nvars = draw(st.integers(1, 5))
+    ring = PolynomialRing(prime=draw(st.sampled_from([2, 7, 101])), nvars=nvars)
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.integers(0, ring.prime - 1)
+    return ring, [ring.from_exponent_dict(draw(st.dictionaries(exps, coeffs,
+                                                               max_size=6)))
+                  for _ in range(count)]
+
+
+@settings(deadline=None)
+@given(polynomials(3))
+def test_ring_axioms_structurally(ring_polys):
+    ring, (f, g, h) = ring_polys
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == ring.zero() == 0
+
+
+@settings(deadline=None)
+@given(polynomials(2), st.data())
+def test_evaluation_homomorphism(ring_polys, data):
+    ring, (f, g) = ring_polys
+    p = ring.prime
+    point = data.draw(st.lists(st.integers(0, p - 1), min_size=ring.nvars,
+                               max_size=ring.nvars))
+    assert (f * g).evaluate(point) == (f.evaluate(point) * g.evaluate(point)) % p
+    assert (f + g).evaluate(point) == (f.evaluate(point) + g.evaluate(point)) % p
+
+
+@settings(deadline=None)
+@given(polynomials(1), st.randoms(use_true_random=False))
+def test_canonical_form_unique(ring_polys, rng):
+    ring, (f,) = ring_polys
+    terms = list(f.terms)
+    for (m1, _), (m2, _) in zip(terms, terms[1:]):
+        assert degrevlex_cmp(m1, m2) > 0
+    assert all(1 <= c < ring.prime for _, c in terms)
+    assert ring.parse(str(f)) == f
+    # the same terms summed in another order give an equal, equally hashed f
+    rng.shuffle(terms)
+    g = sum((ring.monomial(m.exponents, c) for m, c in terms), ring.zero())
+    assert g == f and hash(g) == hash(f)
