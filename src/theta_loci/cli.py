@@ -54,8 +54,11 @@ def _load_gb_input(path: str):
     for name in ("prime", "variables", "generators"):
         if name not in data:
             raise InputError(f"gb input missing field {name!r}")
-    if not isinstance(data["variables"], list) or not data["variables"]:
-        raise InputError("gb input field 'variables' must be a nonempty list")
+    if type(data["prime"]) is not int:  # not a float, string or bool
+        raise InputError("gb input field 'prime' must be an integer")
+    if not isinstance(data["variables"], list) or not data["variables"] \
+            or not all(isinstance(v, str) for v in data["variables"]):
+        raise InputError("gb input field 'variables' must be a nonempty list of strings")
     if not isinstance(data["generators"], list):
         raise InputError("gb input field 'generators' must be a list")
     try:
@@ -64,6 +67,8 @@ def _load_gb_input(path: str):
         raise InputError(f"gb input field 'prime'/'variables' invalid: {exc}") from exc
     gens = []
     for i, text in enumerate(data["generators"]):
+        if not isinstance(text, str):
+            raise InputError(f"gb input generators[{i}] must be a string")
         try:
             gens.append(ring.parse(text))
         except UsageError as exc:

@@ -1,11 +1,13 @@
 """Groebner engine and derived ideal invariants.
 
 Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
-degree) selection.  Monomials are packed into single integers so that integer
-comparison realizes the term order and integer addition realizes monomial
-multiplication.  Divisibility is a SWAR check on the plain packing (one slot
-per variable), which is computed from the key by arithmetic, so the reduction
-loop never unpacks a term into exponents.  Coefficients of the working
+degree) selection.  The engine works on {key: coeff} dicts of poly's packed
+keys: integer comparison realizes the term order and integer addition realizes
+monomial multiplication.  Under degrevlex they are the keys a Polynomial holds;
+block elimination orders pack each block alike and convert term by term.
+Divisibility is a SWAR check on the plain packing (one slot per variable),
+which is computed from the key by arithmetic, so the reduction loop never
+unpacks a term into exponents.  Coefficients of the working
 polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
@@ -25,17 +27,15 @@ from fractions import Fraction
 from math import comb
 
 from .errors import UsageError
-from .poly import Polynomial, PolynomialRing
-
-_BITS = 16
-_MASK = (1 << _BITS) - 1
-_MAXEXP = 1 << (_BITS - 1)  # exponents must stay below this for SWAR guards
+from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _revkey,
+                   _unrev)
 
 
 class MonomialOrder:
     """Degrevlex, or a block elimination order with a dominant drop block.
 
     key(): packed integer; larger key == larger monomial, key(ab) = key(a)+key(b).
+    Under degrevlex it is the key a Polynomial stores.
     plain(key): plain packing for SWAR divisibility tests, derived from the key
     by arithmetic; one slot per variable, keep block below drop block, and
     plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).
@@ -51,30 +51,12 @@ class MonomialOrder:
         for i in range(nvars):
             self._guard |= 1 << (_BITS * i + _BITS - 1)
 
-    def _revkey(self, exps, positions) -> int:
-        # deg * B^k - sum(e_i * B^slot), most significant slot = last variable
-        deg = 0
-        n = 0
-        for slot, i in enumerate(positions):
-            e = exps[i]
-            if e >= _MAXEXP:
-                raise UsageError("exponent too large for packed order")
-            deg += e
-            n += e << (_BITS * slot)
-        return (deg << (_BITS * len(positions))) - n
-
     def key(self, exps) -> int:
         if not self.drop:
-            return self._revkey(exps, range(self.nvars))
-        kk = self._revkey(exps, self.keep)
-        kd = self._revkey(exps, self.drop)
+            return _revkey(exps, range(self.nvars))
+        kk = _revkey(exps, self.keep)
+        kd = _revkey(exps, self.drop)
         return (kd << (_BITS * (len(self.keep) + 4))) + kk
-
-    @staticmethod
-    def _unrev(key: int, k: int) -> int:
-        # inverse of _revkey: the degree is key / B^k rounded up
-        deg = (key + (1 << (_BITS * k)) - 1) >> (_BITS * k)
-        return (deg << (_BITS * k)) - key
 
     def plain(self, key: int) -> int:
         """Plain packing of a key; every exponent must stay below _MAXEXP.
@@ -83,12 +65,12 @@ class MonomialOrder:
         2 * _MAXEXP; one at or above _MAXEXP would defeat the SWAR guard.
         """
         if not self.drop:
-            pk = self._unrev(key, self.nvars)
+            pk = _unrev(key, self.nvars)
         else:
             nk = len(self.keep)
             shift = _BITS * (nk + 4)
-            pk = (self._unrev(key >> shift, len(self.drop)) << (_BITS * nk)) \
-                + self._unrev(key & ((1 << shift) - 1), nk)
+            pk = (_unrev(key >> shift, len(self.drop)) << (_BITS * nk)) \
+                + _unrev(key & ((1 << shift) - 1), nk)
         if pk & self._guard:
             raise UsageError("exponent too large for packed order")
         return pk
@@ -301,8 +283,7 @@ class Ideal:
     """An ideal presented by generators; nonzero generators only.
 
     Instances are immutable apart from an internal per-order cache of
-    computed reduced bases (idempotent writes of immutable values, so
-    concurrent use needs no coordination).
+    computed reduced bases.
     """
 
     def __init__(self, ring: PolynomialRing, generators, saturated: bool = False):
@@ -373,10 +354,14 @@ class GroebnerBasis:
 
 
 def _to_dict(f: Polynomial, order: MonomialOrder) -> dict[int, int]:
-    return {order.key(m.exponents): c for m, c in f.terms}
+    if not order.drop:
+        return dict(f.packed)
+    return {order.key(f.ring._exps(k)): c for k, c in f.packed}
 
 def _from_dict(d: dict[int, int], ring: PolynomialRing,
                order: MonomialOrder) -> Polynomial:
+    if not order.drop:
+        return ring._from_keys(d)
     return ring.from_exponent_dict({order.exps(k): c for k, c in d.items()})
 
 
@@ -426,17 +411,22 @@ def _extend_ring(ring: PolynomialRing, extra: str) -> PolynomialRing:
         name = "_" + name
     return PolynomialRing(prime=ring.prime, variables=ring.variables + (name,))
 
-def _lift(f: Polynomial, big: PolynomialRing) -> Polynomial:
-    return big.from_exponent_dict(
-        {m.exponents + (0,) * (big.nvars - f.ring.nvars): c for m, c in f.terms})
+def _lift(f: Polynomial, target: PolynomialRing) -> Polynomial:
+    """f in target, whose variables are f's with some added or dropped last.
 
-def _drop_last(f: Polynomial, small: PolynomialRing) -> Polynomial:
-    d = {}
-    for m, c in f.terms:
-        if any(m.exponents[small.nvars:]):
+    That leaves the plain packing as it is and moves only the degree field,
+    so the keys keep their order.  A dropped variable must not occur in f.
+    """
+    n, k = _BITS * f.ring.nvars, _BITS * target.nvars
+    out = []
+    for key, c in f.packed:
+        pk = _unrev(key, f.ring.nvars)
+        if pk >> k:
             raise UsageError("polynomial still involves an eliminated variable")
-        d[m.exponents[:small.nvars]] = c
-    return small.from_exponent_dict(d)
+        out.append(((((key + pk) >> n) << k) - pk, c))
+    return Polynomial(target, tuple(out))
+
+_drop_last = _lift
 
 
 def _avoiding(elements, drop) -> list[Polynomial]:
@@ -446,8 +436,9 @@ def _avoiding(elements, drop) -> list[Polynomial]:
     elements whose lead avoids drop, and they generate the contraction.
     Polynomial.leading_monomial is the degrevlex lead and cannot decide it.
     """
+    mask = sum(_MASK << (_BITS * i) for i in drop)
     return [g for g in elements
-            if not any(m.exponents[i] for m, _ in g.terms for i in drop)]
+            if not any(_unrev(k, g.ring.nvars) & mask for k, _ in g.packed)]
 
 
 def eliminate(ideal: Ideal, drop_vars) -> Ideal:
@@ -497,13 +488,14 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
     """
     ring = ideal.ring
     last = ring.nvars - 1
+    zkey = ring.variable(last).packed[0][0]
     gb = ideal.groebner_basis()
     divided = []
     for g in gb.elements:
-        e = min(m.exponents[last] for m, _ in g.terms)
+        e = min(_unrev(k, ring.nvars) >> (_BITS * last) for k, _ in g.packed)
         if e > 0:
-            g = ring.from_exponent_dict(
-                {m.exponents[:last] + (m.exponents[last] - e,): c for m, c in g.terms})
+            # dividing every term by z_n^e keeps the order of their keys
+            g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
         divided.append(g)
     if divided != list(gb.elements):
         gb = buchberger_reduced(Ideal(ring, divided))
@@ -515,8 +507,15 @@ def _permute_ring(ring: PolynomialRing, perm) -> PolynomialRing:
                           variables=tuple(ring.variables[i] for i in perm))
 
 def _permute_poly(f: Polynomial, perm, target: PolynomialRing) -> Polynomial:
-    return target.from_exponent_dict(
-        {tuple(m.exponents[i] for i in perm): c for m, c in f.terms})
+    # slot j of the new key holds the exponent of variable perm[j]
+    return target._from_keys({_revkey(f.ring._exps(k), perm): c for k, c in f.packed})
+
+
+def _variable_index(f: Polynomial) -> int | None:
+    """i when f is a nonzero multiple of the variable z_i, else None."""
+    if len(f.packed) != 1 or f.degree != 1:
+        return None
+    return (_unrev(f.packed[0][0], f.ring.nvars).bit_length() - 1) // _BITS
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
@@ -531,9 +530,8 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     if ideal.is_zero():
         return Ideal(ring, (), saturated=True)
     # fast path: f is a single variable and I is homogeneous
-    if (ideal.homogeneous and len(f.terms) == 1
-            and f.terms[0][0].total_degree == 1):
-        idx = next(i for i, e in enumerate(f.terms[0][0].exponents) if e)
+    idx = _variable_index(f)
+    if idx is not None and ideal.homogeneous:
         if idx == ring.nvars - 1:
             return _saturate_last_variable(ideal)
         perm = [i for i in range(ring.nvars) if i != idx] + [idx]
@@ -576,17 +574,16 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / g, asserting exact divisibility."""
     ring = f.ring
-    p = ring.prime
+    order = MonomialOrder(ring.nvars)
+    gk, gc = g.packed[0]
+    ginv = ring.field.inverse(gc)
     q = ring.zero()
     r = f
-    ginv = ring.field.inverse(g.leading_coefficient())
-    glead = g.leading_monomial()
     while not r.is_zero():
-        m = r.leading_monomial()
-        if not glead.divides(m):
+        k, c = r.packed[0]
+        if not order.divides(order.plain(gk), order.plain(k)):
             raise UsageError("division is not exact")
-        c = (r.leading_coefficient() * ginv) % p
-        term = ring.monomial((m / glead).exponents, c)
+        term = Polynomial(ring, ((k - gk, (c * ginv) % ring.prime),))
         q = q + term
         r = r - term * g
     return q
@@ -613,12 +610,8 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
 
 def _variable_indices(ideal: Ideal) -> list[int] | None:
     """If every generator is a plain variable, their indices; else None."""
-    out = []
-    for g in ideal.generators:
-        if len(g.terms) != 1 or g.terms[0][0].total_degree != 1:
-            return None
-        out.append(next(i for i, e in enumerate(g.terms[0][0].exponents) if e))
-    return out
+    out = [_variable_index(g) for g in ideal.generators]
+    return None if None in out else out
 
 
 def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
@@ -827,7 +820,7 @@ def hilbert(ideal: Ideal) -> HilbertData:
     _require_homogeneous(ideal)
     n = ideal.ring.nvars
     gb = ideal.groebner_basis()
-    leads = frozenset(g.leading_monomial().exponents for g in gb.elements)
+    leads = frozenset(ideal.ring._exps(g.packed[0][0]) for g in gb.elements)
     leads = _minimalize_monomials(leads)
     numerator = _monomial_numerator(leads, n, {})
     if numerator.is_zero():  # unit ideal

@@ -330,18 +330,29 @@ def section_from_json(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"section JSON is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("section JSON must be an object")
     for field_name in ("prime", "case", "terms"):
         if field_name not in data:
             raise InputError(f"section JSON missing field {field_name!r}")
     prime = data["prime"]
     case = data["case"]
-    if case not in _CASE_INDICES:
+    if type(prime) is not int or prime < 2:
+        raise InputError(f"section JSON field 'prime' must be an integer >= 2, got {prime!r}")
+    if not isinstance(case, str) or case not in _CASE_INDICES:
         raise InputError(f"section JSON field 'case' has unknown value {case!r}")
+    if not isinstance(data["terms"], list):
+        raise InputError("section JSON field 'terms' must be a list")
     coeffs = {}
     for i, term in enumerate(data["terms"]):
-        if "indices" not in term or "coeff" not in term:
+        if not isinstance(term, dict) or "indices" not in term or "coeff" not in term:
             raise InputError(f"section JSON terms[{i}] missing 'indices' or 'coeff'")
-        coeffs[tuple(term["indices"])] = term["coeff"]
+        indices, coeff = term["indices"], term["coeff"]
+        if not isinstance(indices, list) or any(type(j) is not int for j in indices):
+            raise InputError(f"section JSON terms[{i}] field 'indices' must be a list of integers")
+        if type(coeff) is not int:
+            raise InputError(f"section JSON terms[{i}] field 'coeff' must be an integer")
+        coeffs[tuple(indices)] = coeff
     try:
         if case == "c5w25":
             return TensorSection.from_dict(prime, coeffs)

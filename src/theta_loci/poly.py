@@ -1,9 +1,10 @@
 """Exact arithmetic: prime fields, degrevlex monomials, canonical multivariate polynomials.
 
-Everything here is immutable after construction and safe to share between
-threads.  A polynomial is a sorted tuple of (monomial, nonzero coefficient)
-pairs, strictly descending in graded reverse lexicographic order, so
-structural equality coincides with mathematical equality.
+A polynomial is a tuple of (key, nonzero coefficient) pairs, strictly descending
+by key, so structural equality is mathematical equality.  A key packs the
+exponents into one integer, 16 bits per variable, such that integer order is
+degrevlex and key(ab) = key(a) + key(b); exponents must stay below 2^15.
+Monomial and exponent tuples are views built on request.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class PrimeField:
         if not is_prime(p):
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
-
-    def __call__(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -145,7 +140,39 @@ def degrevlex_cmp(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_MAXEXP = 1 << (_BITS - 1)  # exponents must stay below this for SWAR guards
+
+
+def _revkey(exps, positions) -> int:
+    """deg * B^k - sum(e_i * B^slot) over the given positions, the last one
+    in the most significant slot; integer order is degrevlex on them."""
+    deg = 0
+    n = 0
+    for slot, i in enumerate(positions):
+        e = exps[i]
+        if not 0 <= e < _MAXEXP:
+            raise UsageError(f"exponent too large: {e} (the bound is {_MAXEXP})"
+                             if e > 0 else f"negative exponent {e}")
+        deg += e
+        n += e << (_BITS * slot)
+    return (deg << (_BITS * len(positions))) - n
+
+
+def _degree(key: int, k: int) -> int:
+    """Total degree of a k-slot key: the key / B^k rounded up."""
+    return (key + (1 << (_BITS * k)) - 1) >> (_BITS * k)
+
+
+def _unrev(key: int, k: int) -> int:
+    """Inverse of _revkey: the plain packing, exponent i in slot i."""
+    return (_degree(key, k) << (_BITS * k)) - key
+
+
+# a variable token carries its optional "^ exponent"
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
+                    r"|(\^)|(\*)|(\+)|(-))")
 
 
 class PolynomialRing:
@@ -196,33 +223,44 @@ class PolynomialRing:
         c %= self.prime
         if c == 0:
             return self.zero()
-        return Polynomial(self, ((Monomial((0,) * self.nvars), c),))
+        return Polynomial(self, ((0, c),))
 
     def variable(self, i: int) -> "Polynomial":
         """Variable by 0-based index."""
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, ((Monomial(exps), 1),))
+        if not 0 <= i < self.nvars:
+            raise UsageError(f"variable index {i} out of range 0..{self.nvars - 1}")
+        return Polynomial(self, (((1 << (_BITS * self.nvars)) - (1 << (_BITS * i)), 1),))
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def monomial(self, exponents: Sequence[int], coeff: int = 1) -> "Polynomial":
-        return self.from_terms([(Monomial(exponents), coeff)])
+        return self._from_keys({self._key(exponents): coeff})
 
     def from_terms(self, terms: Iterable[tuple[Monomial, int]]) -> "Polynomial":
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         for m, c in terms:
-            if len(m.exponents) != self.nvars:
-                raise UsageError("monomial width does not match ring")
-            key = m.exponents
-            acc[key] = (acc.get(key, 0) + c) % self.prime
-        return self.from_exponent_dict(acc)
+            key = self._key(m.exponents)
+            acc[key] = acc.get(key, 0) + c
+        return self._from_keys(acc)
 
     def from_exponent_dict(self, d: dict[tuple[int, ...], int]) -> "Polynomial":
-        terms = [(Monomial(e), c % self.prime) for e, c in d.items() if c % self.prime]
-        terms.sort(key=lambda t: t[0].sort_key(), reverse=True)
-        return Polynomial(self, tuple(terms))
+        return self._from_keys({self._key(e): c for e, c in d.items()})
+
+    def _from_keys(self, d: dict[int, int]) -> "Polynomial":
+        """The polynomial with coefficient d[k] (taken mod p) at key k."""
+        p = self.prime
+        return Polynomial(self, tuple(sorted(
+            ((k, c % p) for k, c in d.items() if c % p), reverse=True)))
+
+    def _key(self, exps: Sequence[int]) -> int:
+        if len(exps) != self.nvars:
+            raise UsageError("monomial width does not match ring")
+        return _revkey(exps, range(self.nvars))
+
+    def _exps(self, key: int) -> tuple[int, ...]:
+        pk = _unrev(key, self.nvars)
+        return tuple((pk >> (_BITS * i)) & _MASK for i in range(self.nvars))
 
     # parsing ------------------------------------------------------------
 
@@ -252,7 +290,7 @@ class PolynomialRing:
             if m is None:
                 raise UsageError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
             pos = m.end()
-            num, name, caret, star, plus, minus = m.groups()
+            num, name, exp, caret, star, plus, minus = m.groups()
             if plus or minus:
                 if expect_term and cur_exps is None:
                     # leading sign of a term
@@ -275,22 +313,16 @@ class PolynomialRing:
                     raise UsageError(f"unknown variable {name!r}")
                 if cur_exps is None:
                     cur_exps = [0] * self.nvars
-                e = 1
-                m2 = _TOKEN.match(text, pos)
-                if m2 and m2.group(3):  # caret
-                    pos = m2.end()
-                    m3 = _TOKEN.match(text, pos)
-                    if not (m3 and m3.group(1)):
-                        raise UsageError("expected integer exponent after ^")
-                    e = int(m3.group(1))
-                    pos = m3.end()
-                cur_exps[self._var_index[name]] += e
+                cur_exps[self._var_index[name]] += 1 if exp is None else int(exp)
                 expect_term = False
             elif caret:
-                raise UsageError("unexpected ^")
+                raise UsageError("^ must follow a variable and precede an integer")
             elif star:
-                if cur_exps is None:
+                if cur_exps is None or expect_term:
                     raise UsageError("unexpected *")
+                expect_term = True
+        if expect_term:
+            raise UsageError(f"polynomial ends with a dangling operator: {text!r}")
         flush()
         return self.from_exponent_dict(acc)
 
@@ -298,54 +330,51 @@ class PolynomialRing:
 class Polynomial:
     """Canonical multivariate polynomial over a prime field.
 
-    Terms are strictly descending in degrevlex with no zero coefficients and
-    no duplicate monomials, so `==` is mathematical equality.
+    packed holds (key, coefficient) pairs, strictly descending by degrevlex
+    key, with coefficients in [1, p), so `==` is mathematical equality.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed")
 
-    def __init__(self, ring: PolynomialRing, terms: tuple[tuple[Monomial, int], ...]):
+    def __init__(self, ring: PolynomialRing, packed: tuple[tuple[int, int], ...]):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, int], ...]:
+        """(monomial, coefficient) pairs, descending in degrevlex."""
+        return tuple((Monomial(self.ring._exps(k)), c) for k, c in self.packed)
 
     # basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms[0][0].total_degree == 0
+        return not self.packed or self.packed[0][0] == 0
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(m.total_degree for m, _ in self.terms)
+        return _degree(self.packed[0][0], self.ring.nvars)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        d = self.terms[0][0].total_degree
-        return all(m.total_degree == d for m, _ in self.terms)
+        # the order is graded, so the first and last terms bound the degrees
+        n = self.ring.nvars
+        return not self.packed or \
+            _degree(self.packed[0][0], n) == _degree(self.packed[-1][0], n)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.packed:
             raise UsageError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return Monomial(self.ring._exps(self.packed[0][0]))
 
     def leading_coefficient(self) -> int:
-        if not self.terms:
+        if not self.packed:
             raise UsageError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m.exponents):
-                if e:
-                    used.add(i)
-        return used
+        return self.packed[0][1]
 
     # arithmetic ---------------------------------------------------------
 
@@ -357,12 +386,10 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         self._check_ring(other)
-        d = {m.exponents: c for m, c in self.terms}
-        p = self.ring.prime
-        for m, c in other.terms:
-            k = m.exponents
-            d[k] = (d.get(k, 0) + c) % p
-        return self.ring.from_exponent_dict(d)
+        d = dict(self.packed)
+        for k, c in other.packed:
+            d[k] = d.get(k, 0) + c
+        return self.ring._from_keys(d)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -377,7 +404,7 @@ class Polynomial:
 
     def __neg__(self):
         p = self.ring.prime
-        return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
+        return Polynomial(self.ring, tuple((k, p - c) for k, c in self.packed))
 
     def scale(self, c: int) -> "Polynomial":
         p = self.ring.prime
@@ -386,20 +413,23 @@ class Polynomial:
             return self.ring.zero()
         if c == 1:
             return self
-        return Polynomial(self.ring, tuple((m, (a * c) % p) for m, a in self.terms))
+        return Polynomial(self.ring, tuple((k, (a * c) % p) for k, a in self.packed))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)
-        p = self.ring.prime
-        d: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms:
-            e1 = m1.exponents
-            for m2, c2 in other.terms:
-                k = tuple(a + b for a, b in zip(e1, m2.exponents))
-                d[k] = (d.get(k, 0) + c1 * c2) % p
-        return self.ring.from_exponent_dict(d)
+        d: dict[int, int] = {}
+        for k1, c1 in self.packed:
+            for k2, c2 in other.packed:
+                k = k1 + k2
+                d[k] = d.get(k, 0) + c1 * c2
+        if self.degree + other.degree >= _MAXEXP:
+            # only then can an exponent reach _MAXEXP; the sums of two
+            # exponents below it fit their slot, and _key rejects them
+            for k in d:
+                self.ring._key(self.ring._exps(k))
+        return self.ring._from_keys(d)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -417,7 +447,7 @@ class Polynomial:
         return out
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.packed:
             return self
         return self.scale(self.ring.field.inverse(self.leading_coefficient()))
 
@@ -430,9 +460,9 @@ class Polynomial:
         p = self.ring.prime
         pt = [a % p for a in point]
         total = 0
-        for m, c in self.terms:
+        for k, c in self.packed:
             v = c
-            for x, e in zip(pt, m.exponents):
+            for x, e in zip(pt, self.ring._exps(k)):
                 if e:
                     v = (v * pow(x, e, p)) % p
             total = (total + v) % p
@@ -446,9 +476,9 @@ class Polynomial:
         if target.prime != self.ring.prime:
             raise UsageError("substitution must preserve the coefficient field")
         out = target.zero()
-        for m, c in self.terms:
+        for k, c in self.packed:
             term = target.constant(c)
-            for img, e in zip(images, m.exponents):
+            for img, e in zip(images, self.ring._exps(k)):
                 if e:
                     term = term * img ** e
             out = out + term
@@ -457,12 +487,12 @@ class Polynomial:
     # canonical text form --------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
-        for m, c in self.terms:
+        for k, c in self.packed:
             factors = []
-            for name, e in zip(self.ring.variables, m.exponents):
+            for name, e in zip(self.ring.variables, self.ring._exps(k)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -483,7 +513,7 @@ class Polynomial:
             return self == self.ring.constant(other)
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self.packed))

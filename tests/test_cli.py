@@ -118,6 +118,16 @@ def test_gb_cli_malformed_input(tmp_path, capsys):
     assert main(["gb", str(path)]) == 1
     assert "JSON" in capsys.readouterr().err
 
+    # mistyped fields are named, not tracebacks
+    for fields, named in (({"prime": "101"}, "prime"), ({"prime": 101.0}, "prime"),
+                          ({"generators": [5]}, "generators[0]"),
+                          ({"variables": ["x", 2]}, "variables"),
+                          ({"generators": ["x*y +", "x -"]}, "generators[0]")):
+        payload = {"prime": 101, "variables": ["x", "y"], "generators": ["x"]}
+        path.write_text(json.dumps({**payload, **fields}))
+        assert main(["gb", str(path)]) == 1
+        assert named in capsys.readouterr().err
+
 
 def test_run_cli_exit_codes(tmp_path, capsys):
     out_path = tmp_path / "report.json"

@@ -124,10 +124,18 @@ def test_parser_roundtrip_and_whitespace():
     assert R.parse("z_1 - z_1") == R.zero()
     assert R.parse("-z_1 + 2*z_1") == R.gens()[0]
     assert R.parse("0").is_zero()
-    with pytest.raises(UsageError):
-        R.parse("q_1 + 1")
-    with pytest.raises(UsageError):
-        R.parse("")
+    for bad in ("q_1 + 1", "", "z_1 +", "z_1 -", "z_1*", "+", "-", "z_1 * * z_2",
+                "z_1^", "z_1^z_2"):
+        with pytest.raises(UsageError):
+            R.parse(bad)
+
+
+def test_variable_index_bounds():
+    R = PolynomialRing(prime=101, nvars=3)
+    assert str(R.variable(2)) == "z_3"
+    for i in (-1, 3):
+        with pytest.raises(UsageError, match=f"variable index {i}"):
+            R.variable(i)
 
 
 def test_parser_accepts_negative_coefficients():

@@ -203,6 +203,12 @@ def test_normal_form_rejects_exponent_overflow(rxyz):
     raises, instead of misreading the SWAR divisibility guard."""
     x, y, z = rxyz.gens()
     f = x ** 20000 * y ** 13001
+    # every term built at the polynomial boundary stays in the packed range
+    for build in (lambda: rxyz.parse("x^40000"),
+                  lambda: rxyz.monomial((1 << 15, 0, 0)),
+                  lambda: x ** 20000 * x ** 20000):
+        with pytest.raises(UsageError, match="exponent too large"):
+            build()
     divisors = [y ** 30000 * z + x ** 20000 * y ** 10001, y ** 1000 * z]
     with pytest.raises(UsageError, match="exponent too large"):
         normal_form(f, divisors)

@@ -253,3 +253,15 @@ def test_section_json_errors():
         section_from_json('{"prime": 101, "case": "zzz", "terms": []}')
     with pytest.raises(InputError, match="terms"):
         section_from_json('{"prime": 101, "case": "w39", "terms": [{"coeff": 1}]}')
+    term = '{"indices": [1, 2, 3], "coeff": 1}'
+    for text, named in (
+            (f'{{"prime": "101", "case": "w39", "terms": [{term}]}}', "prime"),
+            (f'{{"prime": 101.0, "case": "w39", "terms": [{term}]}}', "prime"),
+            ('{"prime": 101, "case": "w39", "terms": [{"indices": [1, 2, 3], '
+             '"coeff": "1"}]}', "coeff"),
+            ('{"prime": 101, "case": "w39", "terms": [{"indices": 123, '
+             '"coeff": 1}]}', "indices"),
+            ('{"prime": 101, "case": "w39", "terms": 5}', "terms"),
+            ('[1, 2]', "object")):
+        with pytest.raises(InputError, match=named):
+            section_from_json(text)
