@@ -51,6 +51,8 @@ def _load_gb_input(path: str):
         raise InputError(f"cannot read input file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("gb input must be a JSON object")
     for name in ("prime", "variables", "generators"):
         if name not in data:
             raise InputError(f"gb input missing field {name!r}")

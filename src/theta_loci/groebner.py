@@ -535,9 +535,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         if idx == ring.nvars - 1:
             return _saturate_last_variable(ideal)
         perm = [i for i in range(ring.nvars) if i != idx] + [idx]
-        inv = [0] * ring.nvars
-        for pos, i in enumerate(perm):
-            inv[i] = pos
+        inv = [perm.index(i) for i in range(ring.nvars)]
         pring = _permute_ring(ring, perm)
         moved = Ideal(pring, [_permute_poly(g, perm, pring) for g in ideal.generators])
         sat = _saturate_last_variable(moved)
@@ -547,9 +545,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     t = big.variable(big.nvars - 1)
     gens = [_lift(g, big) for g in ideal.generators]
     gens.append(t * _lift(f, big) - 1)
-    elim = buchberger_reduced(Ideal(big, gens),
-                              MonomialOrder(big.nvars, (big.nvars - 1,)))
-    kept = _avoiding(elim.elements, (big.nvars - 1,))
+    kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
     return Ideal(ring, [_drop_last(g, ring) for g in kept], saturated=True)
 
 
@@ -565,9 +561,7 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     one_minus_t = big.one() - t
     gens = [t * _lift(g, big) for g in a.generators]
     gens += [one_minus_t * _lift(g, big) for g in b.generators]
-    elim = buchberger_reduced(Ideal(big, gens),
-                              MonomialOrder(big.nvars, (big.nvars - 1,)))
-    kept = _avoiding(elim.elements, (big.nvars - 1,))
+    kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
     return Ideal(ring, [_drop_last(g, ring) for g in kept])
 
 
@@ -820,8 +814,8 @@ def hilbert(ideal: Ideal) -> HilbertData:
     _require_homogeneous(ideal)
     n = ideal.ring.nvars
     gb = ideal.groebner_basis()
+    # the leads of a reduced basis are already minimal generators
     leads = frozenset(ideal.ring._exps(g.packed[0][0]) for g in gb.elements)
-    leads = _minimalize_monomials(leads)
     numerator = _monomial_numerator(leads, n, {})
     if numerator.is_zero():  # unit ideal
         return HilbertData(numerator, -1, 0, UnivariatePolynomial.zero(), n)

@@ -266,25 +266,13 @@ class PolynomialRing:
 
     def parse(self, text: str) -> "Polynomial":
         """Parse `c*z_1^e1*...` sums; accepts ^, * and arbitrary whitespace."""
-        acc: dict[tuple[int, ...], int] = {}
-        pos = 0
-        sign = 1
-        expect_term = True
-        cur_coeff: int | None = None
-        cur_exps: list[int] | None = None
-
-        def flush():
-            nonlocal cur_coeff, cur_exps, sign
-            if cur_exps is None:
-                return
-            c = (sign * (1 if cur_coeff is None else cur_coeff)) % self.prime
-            key = tuple(cur_exps)
-            acc[key] = (acc.get(key, 0) + c) % self.prime
-            cur_coeff, cur_exps, sign = None, None, 1
-
         text = text.strip()
         if not text:
             raise UsageError("empty polynomial string")
+        acc: dict[tuple[int, ...], int] = {}
+        sign, coeff, exps = 1, 1, None  # the term being read
+        last = "+"  # kind of the previous token: "+" (a sign), "*" or "factor"
+        pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if m is None:
@@ -292,38 +280,33 @@ class PolynomialRing:
             pos = m.end()
             num, name, exp, caret, star, plus, minus = m.groups()
             if plus or minus:
-                if expect_term and cur_exps is None:
-                    # leading sign of a term
-                    if minus:
-                        sign = -sign
-                    continue
-                flush()
-                sign = -1 if minus else 1
-                expect_term = True
-            elif num is not None:
-                if cur_exps is None:
-                    cur_exps = [0] * self.nvars
-                if cur_coeff is None:
-                    cur_coeff = int(num)
-                else:
-                    cur_coeff *= int(num)
-                expect_term = False
-            elif name is not None:
-                if name not in self._var_index:
-                    raise UsageError(f"unknown variable {name!r}")
-                if cur_exps is None:
-                    cur_exps = [0] * self.nvars
-                cur_exps[self._var_index[name]] += 1 if exp is None else int(exp)
-                expect_term = False
+                if last == "*":
+                    raise UsageError("unexpected sign after *")
+                if exps is not None:  # the sign ends a term
+                    acc[tuple(exps)] = acc.get(tuple(exps), 0) + sign * coeff
+                    sign, coeff, exps = 1, 1, None
+                if minus:
+                    sign = -sign
+                last = "+"
             elif caret:
                 raise UsageError("^ must follow a variable and precede an integer")
             elif star:
-                if cur_exps is None or expect_term:
+                if last != "factor":
                     raise UsageError("unexpected *")
-                expect_term = True
-        if expect_term:
+                last = "*"
+            else:
+                if exps is None:
+                    exps = [0] * self.nvars
+                if num is not None:
+                    coeff *= int(num)
+                elif name in self._var_index:
+                    exps[self._var_index[name]] += 1 if exp is None else int(exp)
+                else:
+                    raise UsageError(f"unknown variable {name!r}")
+                last = "factor"
+        if last != "factor":
             raise UsageError(f"polynomial ends with a dangling operator: {text!r}")
-        flush()
+        acc[tuple(exps)] = acc.get(tuple(exps), 0) + sign * coeff
         return self.from_exponent_dict(acc)
 
 
@@ -362,9 +345,8 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         # the order is graded, so the first and last terms bound the degrees
-        n = self.ring.nvars
         return not self.packed or \
-            _degree(self.packed[0][0], n) == _degree(self.packed[-1][0], n)
+            self.degree == _degree(self.packed[-1][0], self.ring.nvars)
 
     def leading_monomial(self) -> Monomial:
         if not self.packed:

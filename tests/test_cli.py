@@ -114,9 +114,10 @@ def test_gb_cli_malformed_input(tmp_path, capsys):
     assert main(["gb", str(path)]) == 1
     assert "prime" in capsys.readouterr().err
 
-    path.write_text("not json")
-    assert main(["gb", str(path)]) == 1
-    assert "JSON" in capsys.readouterr().err
+    for text in ("not json", "[1, 2]"):
+        path.write_text(text)
+        assert main(["gb", str(path)]) == 1
+        assert "JSON" in capsys.readouterr().err
 
     # mistyped fields are named, not tracebacks
     for fields, named in (({"prime": "101"}, "prime"), ({"prime": 101.0}, "prime"),
