@@ -417,13 +417,13 @@ def _lift(f: Polynomial, target: PolynomialRing) -> Polynomial:
     That leaves the plain packing as it is and moves only the degree field,
     so the keys keep their order.  A dropped variable must not occur in f.
     """
-    n, k = _BITS * f.ring.nvars, _BITS * target.nvars
+    old, new = _BITS * f.ring.nvars, _BITS * target.nvars
     out = []
     for key, c in f.packed:
         pk = _unrev(key, f.ring.nvars)
-        if pk >> k:
+        if pk >> new:
             raise UsageError("polynomial still involves an eliminated variable")
-        out.append(((((key + pk) >> n) << k) - pk, c))
+        out.append(((((key + pk) >> old) << new) - pk, c))
     return Polynomial(target, tuple(out))
 
 _drop_last = _lift
