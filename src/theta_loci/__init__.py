@@ -1,7 +1,8 @@
 """theta-loci: Pfaffian degeneracy loci over small prime fields.
 
 Subpackages:
-  poly        exact prime-field / polynomial arithmetic (degrevlex canonical form)
+  poly        exact prime-field / polynomial arithmetic (degrevlex canonical form;
+              monomials are exponent tuples)
   groebner    Buchberger engine, elimination, saturation, Hilbert series
   multilinear skew matrices, Pfaffians, section-to-matrix constructions
   bott        Borel-Weil-Bott calculator (types A and C), Schur dimensions, Verlinde
@@ -11,7 +12,7 @@ Subpackages:
 """
 
 from .errors import InputError, UsageError
-from .poly import Monomial, Polynomial, PolynomialRing, PrimeField, degrevlex_cmp
+from .poly import Polynomial, PolynomialRing, PrimeField
 from .groebner import (GroebnerBasis, HilbertData, Ideal, buchberger_reduced,
                        eliminate, hilbert, ideal_intersection, ideal_quotient,
                        normal_form, resolution_hilbert_numerator, saturate,
@@ -27,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InputError", "UsageError",
-    "Monomial", "Polynomial", "PolynomialRing", "PrimeField", "degrevlex_cmp",
+    "Polynomial", "PolynomialRing", "PrimeField",
     "GroebnerBasis", "HilbertData", "Ideal", "buchberger_reduced", "eliminate",
     "hilbert", "ideal_intersection", "ideal_quotient", "normal_form",
     "resolution_hilbert_numerator", "saturate", "saturate_by_ideal",

@@ -96,6 +96,8 @@ def schur_dim(lam, n: int) -> int:
     and partitions with more than n rows give 0.
     """
     lam = tuple(int(x) for x in lam)
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got n = {n}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise UsageError(f"{lam} is not weakly decreasing")
     if len(lam) > n:
@@ -213,19 +215,6 @@ def bott_type_c(alpha) -> BottOutcome:
     dominant = tuple(x - r for x, r in
                      zip(sorted((abs(x) for x in v), reverse=True), rho))
     return BottOutcome(False, length, dominant, weyl_dim_type_c(dominant, n))
-
-
-# brute-force length oracle over the hyperoctahedral group, used by tests
-# and by the acceptance suite (rank <= 3 is 48 elements)
-
-def hyperoctahedral_elements(n: int):
-    """All signed permutations as (images of 1..n, signed); window notation."""
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            out.append(tuple(-perm[i] if mask >> i & 1 else perm[i]
-                             for i in range(n)))
-    return out
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:

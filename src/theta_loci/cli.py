@@ -8,6 +8,7 @@ usage errors (the message names the offending field).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -197,6 +198,7 @@ def _cmd_verlinde(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call; a new parser per call leaves cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="theta-loci",

@@ -426,15 +426,13 @@ def _lift(f: Polynomial, target: PolynomialRing) -> Polynomial:
         out.append(((((key + pk) >> old) << new) - pk, c))
     return Polynomial(target, tuple(out))
 
-_drop_last = _lift
-
 
 def _avoiding(elements, drop) -> list[Polynomial]:
     """The elements none of whose terms involve a variable in drop.
 
     Of a basis under a block order with drop dominant, these are the
     elements whose lead avoids drop, and they generate the contraction.
-    Polynomial.leading_monomial is the degrevlex lead and cannot decide it.
+    A polynomial's first term is its degrevlex lead and cannot decide it.
     """
     mask = sum(_MASK << (_BITS * i) for i in drop)
     return [g for g in elements
@@ -546,7 +544,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     gens = [_lift(g, big) for g in ideal.generators]
     gens.append(t * _lift(f, big) - 1)
     kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
-    return Ideal(ring, [_drop_last(g, ring) for g in kept], saturated=True)
+    return Ideal(ring, [_lift(g, ring) for g in kept], saturated=True)
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
@@ -562,7 +560,7 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     gens = [t * _lift(g, big) for g in a.generators]
     gens += [one_minus_t * _lift(g, big) for g in b.generators]
     kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
-    return Ideal(ring, [_drop_last(g, ring) for g in kept])
+    return Ideal(ring, [_lift(g, ring) for g in kept])
 
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:

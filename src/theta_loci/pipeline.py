@@ -159,6 +159,8 @@ def run_case(case: str, prime: int = 101, seed: int = 0,
              chart: int | None = None) -> CaseReport:
     """Run one degeneracy-locus case end to end."""
     if case == "c5w25":
+        if chart is not None:
+            raise UsageError(f"case 'c5w25' has no chart, got chart = {chart}")
         return _run_c5w25(prime, seed)
     if case == "w39":
         return _run_w39(prime, seed, 9 if chart is None else chart)
@@ -434,7 +436,3 @@ def _is_pentagon(lines) -> bool:
         nxt = [x for x in adjacency[cur] if x != prev]
         prev, cur = cur, nxt[0]
     return len(seen) == 5
-
-
-def gallery_all(prime: int = 101) -> list[CaseReport]:
-    return [example_gallery(name, prime) for name in GALLERY]

@@ -4,13 +4,14 @@ A polynomial is a tuple of (key, nonzero coefficient) pairs, strictly descending
 by key, so structural equality is mathematical equality.  A key packs the
 exponents into one integer, 16 bits per variable, such that integer order is
 degrevlex and key(ab) = key(a) + key(b); exponents must stay below 2^15.
-Monomial and exponent tuples are views built on request.
+Outside the packed form a monomial is an exponent tuple, which `terms` unpacks
+from the keys on request.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UsageError
 
@@ -56,9 +57,6 @@ class PrimeField:
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inverse(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -73,71 +71,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class Monomial:
-    """Dense exponent vector with cached total degree."""
-
-    __slots__ = ("exponents", "total_degree")
-
-    def __init__(self, exponents: Sequence[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise UsageError(f"negative exponent in {exps}")
-        self.exponents = exps
-        self.total_degree = sum(exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_width(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_width(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise UsageError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_width(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def sort_key(self):
-        # tuple whose natural ascending order is degrevlex ascending
-        return (self.total_degree, tuple(-e for e in reversed(self.exponents)))
-
-    def __repr__(self):
-        return f"Monomial{self.exponents}"
-
-
-def _check_width(m1: Monomial, m2: Monomial) -> None:
-    if len(m1.exponents) != len(m2.exponents):
-        raise UsageError(
-            f"monomial width mismatch: {len(m1.exponents)} vs {len(m2.exponents)}"
-        )
-
-
-def degrevlex_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded reverse lexicographic comparison: -1, 0 or +1.
-
-    Higher total degree wins; on ties the monomial with the smaller exponent
-    on the last differing variable (scanning from the last variable) is larger.
-    """
-    _check_width(m1, m2)
-    if m1.total_degree != m2.total_degree:
-        return 1 if m1.total_degree > m2.total_degree else -1
-    for a, b in zip(reversed(m1.exponents), reversed(m2.exponents)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
 
 
 _BITS = 16
@@ -237,13 +170,6 @@ class PolynomialRing:
     def monomial(self, exponents: Sequence[int], coeff: int = 1) -> "Polynomial":
         return self._from_keys({self._key(exponents): coeff})
 
-    def from_terms(self, terms: Iterable[tuple[Monomial, int]]) -> "Polynomial":
-        acc: dict[int, int] = {}
-        for m, c in terms:
-            key = self._key(m.exponents)
-            acc[key] = acc.get(key, 0) + c
-        return self._from_keys(acc)
-
     def from_exponent_dict(self, d: dict[tuple[int, ...], int]) -> "Polynomial":
         return self._from_keys({self._key(e): c for e, c in d.items()})
 
@@ -324,9 +250,9 @@ class Polynomial:
         self.packed = packed
 
     @property
-    def terms(self) -> tuple[tuple[Monomial, int], ...]:
-        """(monomial, coefficient) pairs, descending in degrevlex."""
-        return tuple((Monomial(self.ring._exps(k)), c) for k, c in self.packed)
+    def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(exponent tuple, coefficient) pairs, descending in degrevlex."""
+        return tuple((self.ring._exps(k), c) for k, c in self.packed)
 
     # basic queries ------------------------------------------------------
 
@@ -347,11 +273,6 @@ class Polynomial:
         # the order is graded, so the first and last terms bound the degrees
         return not self.packed or \
             self.degree == _degree(self.packed[-1][0], self.ring.nvars)
-
-    def leading_monomial(self) -> Monomial:
-        if not self.packed:
-            raise UsageError("zero polynomial has no leading monomial")
-        return Monomial(self.ring._exps(self.packed[0][0]))
 
     def leading_coefficient(self) -> int:
         if not self.packed:

@@ -101,14 +101,11 @@ def _config_key(a2_idx, a1_idx):
     return (tuple(sorted(a2_idx)), tuple(sorted(a1_idx)))
 
 
-def _canonical_key(a2_idx, a1_idx):
-    best = None
-    for row in _perm_table():
-        key = (tuple(sorted(row[i] for i in a2_idx)),
-               tuple(sorted(row[i] for i in a1_idx)))
-        if best is None or key < best:
-            best = key
-    return best
+def _orbit(key) -> set[tuple]:
+    """The S_7 orbit of a configuration key, one image per permutation."""
+    a2_idx, a1_idx = key
+    return {(tuple(sorted(row[i] for i in a2_idx)),
+             tuple(sorted(row[i] for i in a1_idx))) for row in _perm_table()}
 
 
 def _a1_extensions(base_idx, count):
@@ -157,14 +154,9 @@ def _gram_classes(target_type: str):
     for key0 in raw:
         if key0 in visited:
             continue
-        best = key0
-        a2_idx, a1_idx = key0
-        for row in _perm_table():
-            img = (tuple(sorted(row[i] for i in a2_idx)),
-                   tuple(sorted(row[i] for i in a1_idx)))
-            visited.add(img)
-            if img < best:
-                best = img
+        orbit = _orbit(key0)
+        visited |= orbit
+        best = min(orbit)
         if best not in raw_set:
             raise UsageError("orbit walk left the candidate set")  # unreachable
         classes[best] = SupportConfig(

@@ -193,10 +193,10 @@ def test_criterion_9_property_suites():
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
                 f, g = gb[i], gb[j]
-                lf, lg = f.leading_monomial(), g.leading_monomial()
-                lcm = lf.lcm(lg)
-                s = ring.monomial((lcm / lf).exponents) * f \
-                    - ring.monomial((lcm / lg).exponents) * g
+                lf, lg = f.terms[0][0], g.terms[0][0]
+                lcm = tuple(map(max, lf, lg))
+                s = ring.monomial(tuple(a - b for a, b in zip(lcm, lf))) * f \
+                    - ring.monomial(tuple(a - b for a, b in zip(lcm, lg))) * g
                 ok &= normal_form(s, gb).is_zero()
 
     _report(9, "property suites", ok, time.perf_counter() - t0, 120.0)

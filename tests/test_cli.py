@@ -12,6 +12,9 @@ from theta_loci.cli import main
 def test_schur_dim_cli(capsys):
     assert main(["schur-dim", "--lambda", "2,1,1,1,1", "--n", "6"]) == 0
     assert capsys.readouterr().out.strip() == "35"
+    assert main(["schur-dim", "--lambda", "2,1", "--n", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "n = -1" in out.err
 
 
 def test_verlinde_cli(capsys):
@@ -20,12 +23,20 @@ def test_verlinde_cli(capsys):
 
 
 def test_bott_weight_cli(capsys):
-    code = main(["bott", "--type", "A",
-                 "--weight", "5,7,6,4,3,2,1,0,-1", "--rho-added"])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out == {"vanishes": False, "degree": 2,
-                   "dominant_weight": [-1] * 9, "dimension": 1}
+    # the parser is built once per process: a flag given in one call must
+    # not carry over to the next
+    for _ in range(2):
+        code = main(["bott", "--type", "A",
+                     "--weight", "5,7,6,4,3,2,1,0,-1", "--rho-added"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"vanishes": False, "degree": 2,
+                       "dominant_weight": [-1] * 9, "dimension": 1}
+        assert main(["bott", "--type", "A", "--weight", "5,7,6,4,3,2,1,0,-1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"vanishes": False, "degree": 1,
+                       "dominant_weight": [6, 6, 6, 4, 3, 2, 1, 0, -1],
+                       "dimension": 13192058880}
 
 
 def test_bott_resolution_cli(tmp_path, capsys):

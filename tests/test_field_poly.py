@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_loci.errors import UsageError
-from theta_loci.poly import (Monomial, PolynomialRing, PrimeField,
-                             degrevlex_cmp, is_prime)
+from theta_loci.poly import PolynomialRing, PrimeField, is_prime
 
 
 def test_prime_validation():
@@ -46,46 +45,56 @@ def test_miller_rabin_matches_trial_division(n):
 def test_inverse():
     F = PrimeField(101)
     for a in range(1, 101):
-        assert F.mul(F.inverse(a), a) == 1
+        assert F.inverse(a) * a % 101 == 1
     with pytest.raises(UsageError):
         F.inverse(0)
 
 
 def test_degrevlex_examples():
+    R = PolynomialRing(prime=101, nvars=3)
+
+    def lead(a, b):
+        return (R.monomial(a) + R.monomial(b)).terms[0][0]
+
     # x1^2 vs x1 x2
-    assert degrevlex_cmp(Monomial((2, 0, 0)), Monomial((1, 1, 0))) > 0
+    assert lead((1, 1, 0), (2, 0, 0)) == (2, 0, 0)
     # x2^2 vs x1 x3: x3-exponents 0 vs 1, smaller wins
-    assert degrevlex_cmp(Monomial((0, 2, 0)), Monomial((1, 0, 1))) > 0
+    assert lead((1, 0, 1), (0, 2, 0)) == (0, 2, 0)
     # equal degree, scanning from z: exponents 0 vs 2, smaller wins
-    assert degrevlex_cmp(Monomial((1, 1, 0)), Monomial((0, 0, 2))) > 0
-    m = Monomial((1, 2, 3))
-    assert degrevlex_cmp(m, m) == 0
+    assert lead((0, 0, 2), (1, 1, 0)) == (1, 1, 0)
+    # higher degree wins, whatever the last exponents
+    assert lead((1, 0, 0), (0, 0, 2)) == (0, 0, 2)
+    m = (1, 2, 3)
+    assert (R.monomial(m) + R.monomial(m)).terms == ((m, 2),)
     with pytest.raises(UsageError):
-        degrevlex_cmp(Monomial((1,)), Monomial((1, 2)))
+        R.monomial((1, 2))
 
 
 def test_degrevlex_total_order_compatible_with_multiplication():
     # exhaustive on monomials of degree <= 4 in 3 variables
-    monos = [Monomial((a, b, c))
+    R = PolynomialRing(prime=101, nvars=3)
+    monos = [(a, b, c)
              for a in range(5) for b in range(5) for c in range(5)
              if a + b + c <= 4]
-    for m1 in monos:
-        for m2 in monos:
-            c12 = degrevlex_cmp(m1, m2)
-            assert c12 == -degrevlex_cmp(m2, m1)
-            if c12 > 0:
-                for m in monos:
-                    assert degrevlex_cmp(m * m1, m * m2) > 0
-    # the comparison is consistent with the packed sort key (a total order)
-    keyed = sorted(monos, key=lambda m: m.sort_key())
-    for a, b in zip(keyed, keyed[1:]):
-        assert degrevlex_cmp(a, b) <= 0
+    every = R.from_exponent_dict(dict.fromkeys(monos, 1))
+    order = [e for e, _ in every.terms]
+    # descending by (degree, reversed exponents negated) is degrevlex
+    assert order == sorted(monos, reverse=True,
+                           key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+    # m * m1 > m * m2 whenever m1 > m2
+    for m in monos:
+        assert [e for e, _ in (R.monomial(m) * every).terms] == \
+            [tuple(a + b for a, b in zip(m, e)) for e in order]
 
 
 def test_monomial_invariants():
-    m = Monomial((2, 0, 1))
-    assert m.total_degree == 3
-    assert (m * Monomial((0, 1, 0))).total_degree == 4
+    R = PolynomialRing(prime=101, nvars=3)
+    m = R.monomial((2, 0, 1))
+    assert m.degree == 3
+    assert (m * R.monomial((0, 1, 0))).terms == (((2, 1, 1), 1),)
+    assert (m * R.monomial((0, 1, 0))).degree == 4
+    with pytest.raises(UsageError):
+        R.monomial((2, -1, 0))
 
 
 def test_binomial_square():

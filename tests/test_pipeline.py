@@ -29,8 +29,8 @@ def _dense_profile(ideal):
         for g in ideal.generators:
             k = d - g.degree
             for mono in _exponents_of_degree(n, k) if k >= 0 else ():
-                terms = {tuple(a + b for a, b in zip(mono, m.exponents)): c
-                         for m, c in g.terms}
+                terms = {tuple(a + b for a, b in zip(mono, e)): c
+                         for e, c in g.terms}
                 row = [terms.get(e, 0) for e in columns]
                 every.append(row)
                 if k >= 1:
@@ -157,6 +157,8 @@ def test_gallery_membership_checks():
 def test_unknown_names_raise():
     with pytest.raises(UsageError):
         run_case("nope", 101, 0)
+    with pytest.raises(UsageError, match="chart"):
+        run_case("c5w25", 101, 0, chart=3)
     with pytest.raises(UsageError):
         example_gallery("nope")
 

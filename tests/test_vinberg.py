@@ -54,28 +54,20 @@ def test_enumerate_representatives():
 
 
 def test_enumerate_closed_under_permutation():
-    """Permuted representatives re-canonicalize onto a listed class."""
-    from theta_loci.vinberg import (_TRIPLE_INDEX, _canonical_key)
+    """Each representative is the least element of its S_7 orbit, and the
+    orbits of distinct representatives are disjoint."""
+    from theta_loci.vinberg import _TRIPLE_INDEX, _orbit
 
-    rng = random.Random(22)
     for typ in SUPPORT_TYPES:
         _, reps = enumerate_supports(typ)
-        keys = set()
+        seen = set()
         for r in reps:
-            keys.add(_canonical_key(
-                tuple(_TRIPLE_INDEX[t] for t in r.a2_pair),
-                tuple(_TRIPLE_INDEX[t] for t in r.a1_triples)))
-        for r in reps:
-            for _ in range(50):
-                sigma = list(range(1, 8))
-                rng.shuffle(sigma)
-                a2 = tuple(sorted(
-                    _TRIPLE_INDEX[tuple(sorted(sigma[i - 1] for i in t))]
-                    for t in r.a2_pair))
-                a1 = tuple(sorted(
-                    _TRIPLE_INDEX[tuple(sorted(sigma[i - 1] for i in t))]
-                    for t in r.a1_triples))
-                assert _canonical_key(a2, a1) in keys
+            key = (tuple(_TRIPLE_INDEX[t] for t in r.a2_pair),
+                   tuple(_TRIPLE_INDEX[t] for t in r.a1_triples))
+            orbit = _orbit(key)
+            assert key == min(orbit)
+            assert seen.isdisjoint(orbit)
+            seen |= orbit
 
 
 def test_gram_condition_of_representatives():

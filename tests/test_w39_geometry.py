@@ -11,8 +11,7 @@ def _partial(f, i):
     ring = f.ring
     p = ring.prime
     d = {}
-    for m, c in f.terms:
-        e = m.exponents
+    for e, c in f.terms:
         if e[i]:
             ne = list(e)
             ne[i] -= 1
@@ -55,13 +54,13 @@ def test_codim6_locus_inside_singular_locus_of_cubic(w39_ideals):
 
     # dim J_2 = 45 - 36 = 9 and the 9 partials are independent, so they span
     p = ring.prime
-    monomials = sorted({m.exponents for q in partials for m, _ in q.terms})
+    monomials = sorted({e for q in partials for e, _ in q.terms})
     col = {m: i for i, m in enumerate(monomials)}
     rows = []
     for q in partials:
         row = [0] * len(col)
-        for m, c in q.terms:
-            row[col[m.exponents]] = c
+        for e, c in q.terms:
+            row[col[e]] = c
         rows.append(row)
     rank = 0
     for c in range(len(col)):
