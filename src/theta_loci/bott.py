@@ -120,6 +120,8 @@ def schur_dim(lam, n: int) -> int:
 def weyl_dim_type_c(lam, n: int) -> int:
     """Dimension of the irreducible Sp(2n) representation with highest weight lam."""
     lam = tuple(int(x) for x in lam)
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got n = {n}")
     if len(lam) > n and any(x != 0 for x in lam[n:]):
         raise UsageError(f"{lam} has more than {n} parts")
     lam = (lam + (0,) * n)[:n]
@@ -271,6 +273,8 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
     each row is multiplied into a symmetric power.  The rank of the resulting
     integer matrix is the dimension of the Schur module.
     """
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got n = {n}")
     part = Partition(lam)
     conj = part.conjugate().parts
     if any(c > n for c in conj):

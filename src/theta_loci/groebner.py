@@ -22,6 +22,7 @@ saturation (Bayer-Stillman); the two paths agree and both are tested.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -187,7 +188,24 @@ def _lcm_key(order: MonomialOrder, e1, e2) -> int:
     return order.key(tuple(max(a, b) for a, b in zip(e1, e2)))
 
 
-def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
+@dataclass(frozen=True)
+class _Floor:
+    """A lower bound on the Hilbert function of R/I: HF(R/I)(d) >= HF(d) of
+    the numerator, at every degree d, for the ideal I the run computes.
+
+    A floor that is too high makes the engine drop basis elements silently,
+    so every floor must come with a proof.  A resolution floor (droppable)
+    is the Hilbert function of a generic member of a family that I belongs
+    to; it is dropped for the rest of a run once a degree ends above it.
+    """
+
+    numerator: UnivariatePolynomial
+    droppable: bool
+
+
+def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
+                      floor: _Floor | None = None,
+                      quota: dict[int, int] | None = None
                       ) -> tuple[list[dict[int, int]], dict[int, int]]:
     """Reduced Groebner basis of the given polynomial dicts, and mu.
 
@@ -195,6 +213,20 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     before the degree-d inputs (Kreuzer-Robbiano, CCA2 4.6).  mu[d] counts
     the degree-d inputs left with a nonzero remainder; for homogeneous
     inputs that is the number of degree-d minimal generators.
+
+    Hilbert-driven pruning (Traverso, J. Symbolic Comput. 22, 1996); pass a
+    floor or a quota for homogeneous inputs under degrevlex only, where
+    every item of degree d is a degree-d form.  At its first item of degree d
+    the run fixes a budget of new degree-d leads; once it has found that
+    many, the rest of the degree's pairs and inputs would all reduce to zero
+    and are skipped, which leaves the basis and mu as they are.
+    - floor: the budget is c(d) - F(d).  c(d) counts the degree-d monomials
+      outside the current leading ideal, an upper bound on HF(R/I)(d), and
+      each new degree-d lead lowers it by one; F is the floor.  When c(d)
+      reaches F(d) = HF(R/I)(d), the partial basis spans I_d.
+    - quota: {d: number of degree-d minimal generators of the final leading
+      ideal}, when that ideal is known in advance.  Each new degree-d lead
+      is one of them.
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
@@ -240,20 +272,54 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
 
     seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
+    counted_at, lead_numerator = -1, UnivariatePolynomial.one()
+
+    def budget(deg: int) -> int | None:
+        """New degree-deg leads still to find; None when unbounded."""
+        nonlocal counted_at, lead_numerator
+        if quota is not None:
+            return quota.get(deg, 0)
+        if floor is None:
+            return None
+        if counted_at != len(basis.lead_key):
+            # live leads are minimal: a new lead is never divisible by a live one
+            counted_at = len(basis.lead_key)
+            lead_numerator = _monomial_numerator(
+                frozenset(e for e, a in zip(basis.lead_exps, basis.alive) if a),
+                order.nvars, {})
+        left = _hilbert_function(lead_numerator, order.nvars, deg) \
+            - _hilbert_function(floor.numerator, order.nvars, deg)
+        if left < 0:
+            raise RuntimeError(f"Hilbert floor above the leading ideal's "
+                               f"count in degree {deg}")
+        return left
+
     mu: dict[int, int] = {}
     nxt = 0
+    deg_now, left = -1, None
     while nxt < len(seeds) or pairs:
-        if nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0]):
-            deg, d = seeds[nxt]
+        take_seed = nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0])
+        deg = seeds[nxt][0] if take_seed else pairs[0][0]
+        if deg != deg_now:
+            if left and floor is not None and floor.droppable:
+                floor = None  # degree deg_now ended above the floor
+            deg_now, left = deg, budget(deg)
+        if take_seed:
             nxt += 1
-            r = _normal_form_dict(d, basis)
+            if left == 0:
+                continue
+            r = _normal_form_dict(seeds[nxt - 1][1], basis)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
             _, lk, i, j = heapq.heappop(pairs)
+            if left == 0:
+                continue
             r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
         if r:
             update(_monic(r, p))
+            if left is not None:
+                left -= 1
 
     # interreduction: only the minimal leads stay alive; a lead divides no
     # term below it, so each tail is reduced once against that one basis
@@ -283,7 +349,9 @@ class Ideal:
     """An ideal presented by generators; nonzero generators only.
 
     Instances are immutable apart from an internal per-order cache of
-    computed reduced bases.
+    computed reduced bases.  The constructor of a family of ideals with known
+    Hilbert function bounds may set _floor (see _Floor); it only prunes the
+    degrevlex engine run of a homogeneous ideal and never changes a result.
     """
 
     def __init__(self, ring: PolynomialRing, generators, saturated: bool = False):
@@ -295,6 +363,7 @@ class Ideal:
         self.generators = gens
         self.saturated = saturated
         self._gb_cache: dict[str, GroebnerBasis] = {}
+        self._floor: _Floor | None = None
 
     @property
     def homogeneous(self) -> bool:
@@ -395,8 +464,19 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
         ring = gens[0].ring
     if order is None:
         order = MonomialOrder(ring.nvars)
+    floor = None
+    if isinstance(ideal_or_polys, Ideal) and not order.drop \
+            and ideal_or_polys.homogeneous:
+        floor = ideal_or_polys._floor
+    return _engine_basis(ring, gens, order, floor=floor)
+
+
+def _engine_basis(ring: PolynomialRing, gens, order: MonomialOrder,
+                  floor: _Floor | None = None,
+                  quota: dict[int, int] | None = None) -> GroebnerBasis:
+    """One engine run, pruned by a floor or a quota (see _buchberger_dicts)."""
     dicts = [_to_dict(g, order) for g in gens]
-    out, mu = _buchberger_dicts(dicts, ring.prime, order)
+    out, mu = _buchberger_dicts(dicts, ring.prime, order, floor, quota)
     return GroebnerBasis(ring, order.descriptor,
                          tuple(_from_dict(d, ring, order) for d in out), mu)
 
@@ -482,7 +562,9 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
     exactly when its leading monomial is, so dividing each element of the
     basis once by its largest power of z_n gives a Groebner basis of the
     saturation (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
-    One engine run over the divided set reduces it and counts its mu.
+    One engine run over the divided set reduces it and counts its mu.  Its
+    leads generate the final leading ideal, so that run stops each degree
+    once it has found the degree's minimal leads (the engine's quota).
     """
     ring = ideal.ring
     last = ring.nvars - 1
@@ -496,7 +578,10 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
             g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
         divided.append(g)
     if divided != list(gb.elements):
-        gb = buchberger_reduced(Ideal(ring, divided))
+        leads = _minimalize_monomials(
+            frozenset(ring._exps(g.packed[0][0]) for g in divided))
+        quota = Counter(sum(e) for e in leads)
+        gb = _engine_basis(ring, divided, MonomialOrder(ring.nvars), quota=quota)
     return _keeping_basis(gb, ideal, saturated=True)
 
 
@@ -748,12 +833,13 @@ class HilbertData:
 
     def hilbert_function(self, d: int) -> int:
         """Actual Hilbert function value from the numerator (valid for all d)."""
-        n = self.nvars
-        total = 0
-        for j, c in enumerate(self.numerator.coeffs):
-            if d - j >= 0:
-                total += c * comb(d - j + n - 1, n - 1)
-        return total
+        return _hilbert_function(self.numerator, self.nvars, d)
+
+
+def _hilbert_function(numerator: UnivariatePolynomial, nvars: int, d: int) -> int:
+    """HF(d) of the module with Hilbert series numerator / (1 - t)^nvars."""
+    return sum(c * comb(d - j + nvars - 1, nvars - 1)
+               for j, c in enumerate(numerator.coeffs[:d + 1]))
 
 
 def _minimalize_monomials(gens: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -788,10 +874,10 @@ def _monomial_numerator(gens: frozenset[tuple[int, ...]], nvars: int,
                          - UnivariatePolynomial.one().shift(sum(g)))
         memo[gens] = out
         return out
-    # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0
-    plus = _minimalize_monomials(frozenset(
-        [tuple(1 if i == best else 0 for i in range(nvars))]
-        + [g for g in gens if g[best] == 0]))
+    # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0; the generators of I + x
+    # are x and those of I without x, which need no minimalization
+    plus = frozenset([tuple(1 if i == best else 0 for i in range(nvars))]
+                     + [g for g in gens if g[best] == 0])
     colon = _minimalize_monomials(frozenset(
         tuple(e - 1 if i == best and e > 0 else e for i, e in enumerate(g))
         for g in gens))

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, UsageError
-from .groebner import Ideal
+from .complexes import (buchsbaum_eisenbud_numerator_terms,
+                        jozefiak_pragacz_numerator_terms)
+from .groebner import (Ideal, UnivariatePolynomial, _Floor,
+                       resolution_hilbert_numerator)
 from .poly import Polynomial, PolynomialRing
 
 _M64 = (1 << 64) - 1
@@ -153,14 +156,52 @@ def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> Polynomial:
 
 
 def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
-    """Ideal of Pfaffians of all principal size x size submatrices."""
+    """Ideal of Pfaffians of all principal size x size submatrices.
+
+    The ideal carries a Hilbert floor for its Groebner engine run (see
+    _pfaffian_floor); the floor only skips work that reduces to zero.
+    """
     if size % 2:
         raise UsageError("Pfaffian ideal size must be even")
     if size > matrix.size:
         raise UsageError("submatrix size exceeds matrix size")
     pfs = [_sub_pfaffian(matrix, sum(1 << i for i in s))
            for s in combinations(range(matrix.size), size)]
-    return Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
+    ideal = Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
+    ideal._floor = _pfaffian_floor(matrix, size)
+    return ideal
+
+
+def _pfaffian_floor(matrix: SkewMatrix, size: int) -> _Floor:
+    """A lower bound on the Hilbert function of R/Pf_size(matrix).
+
+    For a matrix of linear forms, in a ring with at least as many variables
+    as the expected codimension:
+    - size 2m - 2 of a 2m x 2m matrix (codimension 6, n >= 6): the
+      Jozefiak-Pragacz resolution;
+    - size 2m of a (2m+1) x (2m+1) matrix (codimension 3, n >= 3): the
+      Buchsbaum-Eisenbud resolution.
+    These are the Hilbert functions of a generic matrix of linear forms,
+    whose Pfaffian ideal has the expected codimension and is perfect in
+    every characteristic, so the resolution applies.  dim I_d is the rank of
+    a matrix whose entries are polynomial in the matrix's coefficients, so
+    it is lower semicontinuous: for every special matrix dim I_d is at most
+    the generic value, and HF(R/I)(d) at least the floor.  A special matrix
+    only loses pruning, never the answer; the floor is dropped once a degree
+    ends above it.  Every other case gets the zero floor.
+    """
+    linear = all(f.is_zero() or (f.degree == 1 and f.is_homogeneous())
+                 for row in matrix.entries for f in row)
+    nvars, m = matrix.ring.nvars, matrix.size // 2
+    terms = None
+    if linear and matrix.size % 2 == 0 and size == 2 * m - 2 and m >= 2 \
+            and nvars >= 6:
+        terms = jozefiak_pragacz_numerator_terms(m)
+    elif linear and matrix.size % 2 and size == 2 * m and m >= 1 and nvars >= 3:
+        terms = buchsbaum_eisenbud_numerator_terms(m)
+    if terms is None:
+        return _Floor(UnivariatePolynomial.zero(), droppable=False)
+    return _Floor(resolution_hilbert_numerator(terms), droppable=True)
 
 
 # ---------------------------------------------------------------------------

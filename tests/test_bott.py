@@ -168,9 +168,12 @@ def test_schur_dims():
     assert schur_dim((-1,) * 9, 9) == 1
     assert schur_dim((0, -1, -1), 3) == schur_dim((1, 0, 0), 3)
     # a negative n is rejected, not read as a Python index
-    for lam, n in (((0, 0), -1), ((), -3), ((2, 1), -1)):
+    for fn, lam, n in ((schur_dim, (0, 0), -1), (schur_dim, (), -3),
+                       (schur_dim, (2, 1), -1), (weyl_dim_type_c, (), -2),
+                       (schur_module_rank, (1,), -1),
+                       (schur_module_rank, (), -1)):
         with pytest.raises(UsageError, match=f"n = {n}"):
-            schur_dim(lam, n)
+            fn(lam, n)
 
 
 def test_schur_dim_counts_ssyt():

@@ -1,9 +1,14 @@
-"""Property tests for packed monomial keys and polynomial arithmetic."""
+"""Property tests for packed monomial keys, polynomial arithmetic and the
+Groebner engine's Hilbert-driven pruning."""
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_loci.groebner import _MAXEXP, MonomialOrder
+from theta_loci.groebner import (_MAXEXP, MonomialOrder, UnivariatePolynomial,
+                                 _buchberger_dicts, _Floor,
+                                 _monomial_numerator, _to_dict)
 from theta_loci.poly import PolynomialRing
 
 NVARS = 4
@@ -106,3 +111,39 @@ def test_canonical_form_unique(ring_polys, rng):
     rng.shuffle(terms)
     g = sum((ring.monomial(e, c) for e, c in terms), ring.zero())
     assert g == f and hash(g) == hash(f)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Homogeneous generators of degrees 1-3 in 3-4 variables over a small prime."""
+    nvars = draw(st.integers(3, 4))
+    ring = PolynomialRing(prime=draw(st.sampled_from([2, 3, 7, 31])), nvars=nvars)
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        deg = draw(st.integers(1, 3))
+        # a monomial of degree deg: the multiset of its deg variables
+        monomials = st.lists(st.integers(0, nvars - 1), min_size=deg,
+                             max_size=deg).map(
+            lambda vs: tuple(vs.count(i) for i in range(nvars)))
+        gens.append(ring.from_exponent_dict(draw(st.dictionaries(
+            monomials, st.integers(1, ring.prime - 1), min_size=1, max_size=5))))
+    return ring, gens
+
+
+@settings(deadline=None)
+@given(homogeneous_ideals())
+def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
+    """Runs pruned by an exact floor, the zero floor and a lead quota return
+    the unpruned run's reduced basis and mu; floor and quota are read from
+    the unpruned run's leads."""
+    ring, gens = ring_gens
+    order = MonomialOrder(ring.nvars)
+    dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
+    plain = _buchberger_dicts(dicts, ring.prime, order)
+    leads = [order.exps(max(d)) for d in plain[0]]
+    quota = Counter(sum(e) for e in leads)
+    exact = _monomial_numerator(frozenset(leads), ring.nvars, {})
+    for floor in (_Floor(exact, droppable=True),
+                  _Floor(UnivariatePolynomial.zero(), droppable=False)):
+        assert _buchberger_dicts(dicts, ring.prime, order, floor) == plain
+    assert _buchberger_dicts(dicts, ring.prime, order, quota=quota) == plain
