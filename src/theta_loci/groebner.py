@@ -12,6 +12,17 @@ polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
+A homogeneous degrevlex run can skip work that a Hilbert function proves
+redundant (Traverso 1996).  The degree-d monomials outside the leading ideal
+of the partial basis number c(d) >= HF(R/I)(d), and each new degree-d lead
+lowers c(d) by one.  Once c(d) meets a known floor F(d) <= HF(R/I)(d), the
+partial basis spans I_d, so the rest of the degree's pairs and inputs would
+reduce to zero and are skipped; basis and mu are unchanged.  Pfaffian ideals
+carry such a floor (multilinear._pfaffian_floor), and the re-run of a
+saturation whose final leading ideal is already known counts that ideal's
+minimal leads instead.  A floor that is too high would silently drop basis
+elements, so every floor comes with a soundness argument.
+
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and a plain
 variable there is a fast path: dividing each element of a degrevlex basis by
@@ -26,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import le
 
 from .errors import UsageError
 from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _revkey,
@@ -290,7 +302,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
         left = _hilbert_function(lead_numerator, order.nvars, deg) \
             - _hilbert_function(floor.numerator, order.nvars, deg)
         if left < 0:
-            raise RuntimeError(f"Hilbert floor above the leading ideal's "
+            raise RuntimeError("Hilbert floor above the leading ideal's "
                                f"count in degree {deg}")
         return left
 
@@ -305,10 +317,11 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
                 floor = None  # degree deg_now ended above the floor
             deg_now, left = deg, budget(deg)
         if take_seed:
+            f = seeds[nxt][1]
             nxt += 1
             if left == 0:
                 continue
-            r = _normal_form_dict(seeds[nxt - 1][1], basis)
+            r = _normal_form_dict(f, basis)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
@@ -845,7 +858,7 @@ def _hilbert_function(numerator: UnivariatePolynomial, nvars: int, d: int) -> in
 def _minimalize_monomials(gens: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     out = []
     for g in sorted(gens, key=sum):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
+        if not any(all(map(le, h, g)) for h in out):
             out.append(g)
     return frozenset(out)
 
