@@ -362,8 +362,8 @@ class Ideal:
     """An ideal presented by generators; nonzero generators only.
 
     Instances are immutable apart from an internal per-order cache of
-    computed reduced bases.  The constructor of a family of ideals with known
-    Hilbert function bounds may set _floor (see _Floor); it only prunes the
+    computed reduced bases.  Code that knows a bound on R/I may set _floor
+    (see _Floor) or _quota (see _buchberger_dicts); either only prunes the
     degrevlex engine run of a homogeneous ideal and never changes a result.
     """
 
@@ -377,6 +377,7 @@ class Ideal:
         self.saturated = saturated
         self._gb_cache: dict[str, GroebnerBasis] = {}
         self._floor: _Floor | None = None
+        self._quota: dict[int, int] | None = None
 
     @property
     def homogeneous(self) -> bool:
@@ -477,17 +478,10 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
         ring = gens[0].ring
     if order is None:
         order = MonomialOrder(ring.nvars)
-    floor = None
+    floor = quota = None
     if isinstance(ideal_or_polys, Ideal) and not order.drop \
             and ideal_or_polys.homogeneous:
-        floor = ideal_or_polys._floor
-    return _engine_basis(ring, gens, order, floor=floor)
-
-
-def _engine_basis(ring: PolynomialRing, gens, order: MonomialOrder,
-                  floor: _Floor | None = None,
-                  quota: dict[int, int] | None = None) -> GroebnerBasis:
-    """One engine run, pruned by a floor or a quota (see _buchberger_dicts)."""
+        floor, quota = ideal_or_polys._floor, ideal_or_polys._quota
     dicts = [_to_dict(g, order) for g in gens]
     out, mu = _buchberger_dicts(dicts, ring.prime, order, floor, quota)
     return GroebnerBasis(ring, order.descriptor,
@@ -591,10 +585,10 @@ def _saturate_last_variable(ideal: Ideal) -> Ideal:
             g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
         divided.append(g)
     if divided != list(gb.elements):
-        leads = _minimalize_monomials(
-            frozenset(ring._exps(g.packed[0][0]) for g in divided))
-        quota = Counter(sum(e) for e in leads)
-        gb = _engine_basis(ring, divided, MonomialOrder(ring.nvars), quota=quota)
+        sat = Ideal(ring, divided)
+        sat._quota = Counter(sum(e) for e in _minimalize_monomials(
+            frozenset(ring._exps(g.packed[0][0]) for g in divided)))
+        gb = buchberger_reduced(sat)
     return _keeping_basis(gb, ideal, saturated=True)
 
 
