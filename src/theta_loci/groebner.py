@@ -284,22 +284,17 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
 
     seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
-    counted_at, lead_numerator = -1, UnivariatePolynomial.one()
 
     def budget(deg: int) -> int | None:
         """New degree-deg leads still to find; None when unbounded."""
-        nonlocal counted_at, lead_numerator
         if quota is not None:
             return quota.get(deg, 0)
         if floor is None:
             return None
-        if counted_at != len(basis.lead_key):
-            # live leads are minimal: a new lead is never divisible by a live one
-            counted_at = len(basis.lead_key)
-            lead_numerator = _monomial_numerator(
-                frozenset(e for e, a in zip(basis.lead_exps, basis.alive) if a),
-                order.nvars, {})
-        left = _hilbert_function(lead_numerator, order.nvars, deg) \
+        # live leads are minimal: a new lead is never divisible by a live one
+        leads = frozenset(e for e, a in zip(basis.lead_exps, basis.alive) if a)
+        left = _hilbert_function(_monomial_numerator(leads, order.nvars, {}),
+                                 order.nvars, deg) \
             - _hilbert_function(floor.numerator, order.nvars, deg)
         if left < 0:
             raise RuntimeError("Hilbert floor above the leading ideal's "
