@@ -101,34 +101,50 @@ def _cmd_gb(args) -> int:
     return 0
 
 
+def _load_resolution(path: str):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read resolution file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("resolution file must be a JSON object")
+    if "space" not in data or "terms" not in data:
+        raise InputError("resolution file missing field 'space' or 'terms'")
+    space_data = data["space"]
+    if not isinstance(space_data, dict):
+        raise InputError("resolution file field 'space' must be an object")
+    family = space_data.get("type")
+    if family not in ("A", "C"):
+        raise InputError(f"space field 'type' must be 'A' or 'C', got {family!r}")
+    name = "N" if family == "A" else "n"
+    if name not in space_data:
+        raise InputError(f"space of type {family} missing field {name!r}")
+    # type(), not isinstance(): a bool is not an integer here
+    if type(space_data[name]) is not int or space_data[name] < 1:
+        raise InputError(f"space field {name!r} must be an integer >= 1")
+    if not isinstance(data["terms"], list):
+        raise InputError("resolution file field 'terms' must be a list")
+    terms = []
+    for i, t in enumerate(data["terms"]):
+        if not isinstance(t, dict):
+            raise InputError(f"terms[{i}] must be an object")
+        for field in ("weight", "twist", "h"):
+            if field not in t:
+                raise InputError(f"terms[{i}] missing field {field!r}")
+        weight, mult = t["weight"], t.get("mult", 1)
+        if not isinstance(weight, list) or any(type(x) is not int for x in weight):
+            raise InputError(f"terms[{i}] field 'weight' must be a list of integers")
+        for field, value in (("twist", t["twist"]), ("h", t["h"]), ("mult", mult)):
+            if type(value) is not int:
+                raise InputError(f"terms[{i}] field {field!r} must be an integer")
+        terms.append(bott_mod.ResolutionTerm(tuple(weight), t["twist"], t["h"], mult))
+    return terms, bott_mod.Space(family, space_data[name])
+
+
 def _cmd_bott(args) -> int:
     if args.resolution_file:
-        try:
-            with open(args.resolution_file) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read resolution file: {exc}") from exc
-        if "space" not in data or "terms" not in data:
-            raise InputError("resolution file missing field 'space' or 'terms'")
-        space_data = data["space"]
-        family = space_data.get("type")
-        if family == "A":
-            if "N" not in space_data:
-                raise InputError("space of type A missing field 'N'")
-            space = bott_mod.Space("A", space_data["N"])
-        elif family == "C":
-            if "n" not in space_data:
-                raise InputError("space of type C missing field 'n'")
-            space = bott_mod.Space("C", space_data["n"])
-        else:
-            raise InputError(f"space field 'type' must be 'A' or 'C', got {family!r}")
-        terms = []
-        for i, t in enumerate(data["terms"]):
-            for name in ("weight", "twist", "h"):
-                if name not in t:
-                    raise InputError(f"terms[{i}] missing field {name!r}")
-            terms.append(bott_mod.ResolutionTerm(
-                tuple(t["weight"]), t["twist"], t["h"], t.get("mult", 1)))
+        terms, space = _load_resolution(args.resolution_file)
         table = bott_mod.cohomology_of_resolution(terms, space)
         out = {
             "degeneration_verified": table.degeneration_verified,

@@ -24,9 +24,9 @@ minimal leads instead.  A floor that is too high would silently drop basis
 elements, so every floor comes with a soundness argument.
 
 Saturation by a single polynomial uses the auxiliary-variable method
-(adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and a plain
-variable there is a fast path: dividing each element of a degrevlex basis by
-its largest power of the last variable gives a Groebner basis of the
+(adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
+variable z_i there is a fast path: under degrevlex with z_i last, dividing
+each basis element by its largest power of z_i gives a Groebner basis of the
 saturation (Bayer-Stillman); the two paths agree and both are tested.
 """
 
@@ -45,28 +45,33 @@ from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _revkey,
 
 
 class MonomialOrder:
-    """Degrevlex, or a block elimination order with a dominant drop block.
+    """Degrevlex with variable `last` last (native: z_n last, the ring's own),
+    or a block elimination order with a dominant drop block.
 
     key(): packed integer; larger key == larger monomial, key(ab) = key(a)+key(b).
-    Under degrevlex it is the key a Polynomial stores.
+    Under the native order it is the key a Polynomial stores.
     plain(key): plain packing for SWAR divisibility tests, derived from the key
-    by arithmetic; one slot per variable, keep block below drop block, and
+    by arithmetic; slot j holds variable slots[j], and
     plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).
     """
 
-    def __init__(self, nvars: int, drop: tuple[int, ...] = ()):
+    def __init__(self, nvars: int, drop: tuple[int, ...] = (), last: int | None = None):
         self.nvars = nvars
         self.drop = tuple(sorted(drop))
         self.keep = tuple(i for i in range(nvars) if i not in set(self.drop))
-        self.descriptor = ("degrevlex" if not self.drop
-                           else f"eliminate[{','.join(map(str, self.drop))}]")
-        self._guard = 0
-        for i in range(nvars):
-            self._guard |= 1 << (_BITS * i + _BITS - 1)
+        if last is not None and (self.drop or not 0 <= last < nvars):
+            raise UsageError(f"no degrevlex order on {nvars} variables has {last} last")
+        last = nvars - 1 if last is None else last
+        self.native = not self.drop and last == nvars - 1
+        self.slots = (self.keep + self.drop if self.drop
+                      else tuple(i for i in range(nvars) if i != last) + (last,))
+        self.descriptor = (f"eliminate[{','.join(map(str, self.drop))}]" if self.drop
+                           else "degrevlex" if self.native else f"degrevlex[{last}]")
+        self._guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
 
     def key(self, exps) -> int:
         if not self.drop:
-            return _revkey(exps, range(self.nvars))
+            return _revkey(exps, self.slots)
         kk = _revkey(exps, self.keep)
         kd = _revkey(exps, self.drop)
         return (kd << (_BITS * (len(self.keep) + 4))) + kk
@@ -91,9 +96,20 @@ class MonomialOrder:
     def exps(self, key: int) -> tuple[int, ...]:
         pk = self.plain(key)
         out = [0] * self.nvars
-        for slot, i in enumerate(self.keep + self.drop):
+        for slot, i in enumerate(self.slots):
             out[i] = (pk >> (_BITS * slot)) & _MASK
         return tuple(out)
+
+    def moved(self, key: int, back: bool = False) -> int:
+        """This order's key (no drop block) of the monomial with ring key key;
+        with back, the ring key of this order's key.  Moving z_i last rotates
+        slots i..n-1 of the plain packing by one and keeps the degree field,
+        so the key moves by the change of packing."""
+        s, w = _BITS * self.slots[-1], _BITS * (self.nvars - 1 - self.slots[-1])
+        seg = _unrev(key, self.nvars) >> s
+        new = (((seg << _BITS) & ((1 << (w + _BITS)) - 1)) | (seg >> w) if back
+               else (seg >> _BITS) | ((seg & _MASK) << w))
+        return key + ((seg - new) << s)
 
     def divides(self, pk_small: int, pk_big: int) -> bool:
         return ((pk_big | self._guard) - pk_small) & self._guard == self._guard
@@ -227,7 +243,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     inputs that is the number of degree-d minimal generators.
 
     Hilbert-driven pruning (Traverso, J. Symbolic Comput. 22, 1996); pass a
-    floor or a quota for homogeneous inputs under degrevlex only, where
+    floor or a quota for homogeneous inputs under a degrevlex order, where
     every item of degree d is a degree-d form.  At its first item of degree d
     the run fixes a budget of new degree-d leads; once it has found that
     many, the rest of the degree's pairs and inputs would all reduce to zero
@@ -358,8 +374,10 @@ class Ideal:
 
     Instances are immutable apart from an internal per-order cache of
     computed reduced bases.  Code that knows a bound on R/I may set _floor
-    (see _Floor) or _quota (see _buchberger_dicts); either only prunes the
-    degrevlex engine run of a homogeneous ideal and never changes a result.
+    (see _Floor) or _quota (see _buchberger_dicts); neither changes a result.
+    A floor prunes only the homogeneous run under the ring's own degrevlex,
+    where it pays off; a quota prunes one under any degrevlex order, so it
+    goes only on an ideal whose basis is computed under the order it counts.
     """
 
     def __init__(self, ring: PolynomialRing, generators, saturated: bool = False):
@@ -432,15 +450,16 @@ class GroebnerBasis:
 
 
 def _to_dict(f: Polynomial, order: MonomialOrder) -> dict[int, int]:
-    if not order.drop:
-        return dict(f.packed)
-    return {order.key(f.ring._exps(k)): c for k, c in f.packed}
+    if order.drop:
+        return {order.key(f.ring._exps(k)): c for k, c in f.packed}
+    return dict(f.packed) if order.native else {order.moved(k): c for k, c in f.packed}
 
 def _from_dict(d: dict[int, int], ring: PolynomialRing,
                order: MonomialOrder) -> Polynomial:
-    if not order.drop:
-        return ring._from_keys(d)
-    return ring.from_exponent_dict({order.exps(k): c for k, c in d.items()})
+    if order.drop:
+        return ring.from_exponent_dict({order.exps(k): c for k, c in d.items()})
+    return ring._from_keys(d if order.native else
+                           {order.moved(k, back=True): c for k, c in d.items()})
 
 
 def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> Polynomial:
@@ -476,7 +495,7 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
     floor = quota = None
     if isinstance(ideal_or_polys, Ideal) and not order.drop \
             and ideal_or_polys.homogeneous:
-        floor, quota = ideal_or_polys._floor, ideal_or_polys._quota
+        floor, quota = ideal_or_polys._floor if order.native else None, ideal_or_polys._quota
     dicts = [_to_dict(g, order) for g in gens]
     out, mu = _buchberger_dicts(dicts, ring.prime, order, floor, quota)
     return GroebnerBasis(ring, order.descriptor,
@@ -557,43 +576,37 @@ def _keeping_basis(gb: GroebnerBasis, src: Ideal, saturated: bool = False) -> Id
     return out
 
 
-def _saturate_last_variable(ideal: Ideal) -> Ideal:
-    """I : z_n^infty for homogeneous I, by dividing degrevlex basis elements.
+def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
+    """I : z_i^infty for homogeneous I, by dividing degrevlex basis elements.
 
-    In degrevlex with z_n last, a homogeneous polynomial is divisible by z_n
+    In degrevlex with z_i last, a homogeneous polynomial is divisible by z_i
     exactly when its leading monomial is, so dividing each element of the
-    basis once by its largest power of z_n gives a Groebner basis of the
+    basis once by its largest power of z_i gives a Groebner basis of the
     saturation (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
     One engine run over the divided set reduces it and counts its mu.  Its
     leads generate the final leading ideal, so that run stops each degree
     once it has found the degree's minimal leads (the engine's quota).
     """
-    ring = ideal.ring
-    last = ring.nvars - 1
-    zkey = ring.variable(last).packed[0][0]
-    gb = ideal.groebner_basis()
-    divided = []
+    ring, n = ideal.ring, ideal.ring.nvars
+    order = MonomialOrder(n, last=i)
+    zkey = ring.variable(i).packed[0][0]
+    gb = ideal.groebner_basis(order)
+    divided, leads = [], []
     for g in gb.elements:
-        e = min(_unrev(k, ring.nvars) >> (_BITS * last) for k, _ in g.packed)
+        zs = [(_unrev(k, n) >> (_BITS * i)) & _MASK for k, _ in g.packed]
+        e = min(zs)
+        # the order's lead has the fewest z_i; terms with as few z_i order
+        # among themselves as in the ring's own degrevlex, which g's keys follow
+        leads.append(ring._exps(g.packed[zs.index(e)][0] - e * zkey))
         if e > 0:
-            # dividing every term by z_n^e keeps the order of their keys
+            # dividing every term by z_i^e keeps the order of their keys
             g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
         divided.append(g)
     if divided != list(gb.elements):
         sat = Ideal(ring, divided)
-        sat._quota = Counter(sum(e) for e in _minimalize_monomials(
-            frozenset(ring._exps(g.packed[0][0]) for g in divided)))
-        gb = buchberger_reduced(sat)
+        sat._quota = Counter(sum(e) for e in _minimalize_monomials(frozenset(leads)))
+        gb = buchberger_reduced(sat, order)
     return _keeping_basis(gb, ideal, saturated=True)
-
-
-def _permute_ring(ring: PolynomialRing, perm) -> PolynomialRing:
-    return PolynomialRing(prime=ring.prime,
-                          variables=tuple(ring.variables[i] for i in perm))
-
-def _permute_poly(f: Polynomial, perm, target: PolynomialRing) -> Polynomial:
-    # slot j of the new key holds the exponent of variable perm[j]
-    return target._from_keys({_revkey(f.ring._exps(k), perm): c for k, c in f.packed})
 
 
 def _variable_index(f: Polynomial) -> int | None:
@@ -617,15 +630,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     # fast path: f is a single variable and I is homogeneous
     idx = _variable_index(f)
     if idx is not None and ideal.homogeneous:
-        if idx == ring.nvars - 1:
-            return _saturate_last_variable(ideal)
-        perm = [i for i in range(ring.nvars) if i != idx] + [idx]
-        inv = [perm.index(i) for i in range(ring.nvars)]
-        pring = _permute_ring(ring, perm)
-        moved = Ideal(pring, [_permute_poly(g, perm, pring) for g in ideal.generators])
-        sat = _saturate_last_variable(moved)
-        return Ideal(ring, [_permute_poly(g, inv, ring) for g in sat.generators],
-                     saturated=True)
+        return _saturate_variable(ideal, idx)
     big = _extend_ring(ring, "t")
     t = big.variable(big.nvars - 1)
     gens = [_lift(g, big) for g in ideal.generators]
@@ -687,12 +692,6 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
     return _keeping_basis(out.groebner_basis(), out)
 
 
-def _variable_indices(ideal: Ideal) -> list[int] | None:
-    """If every generator is a plain variable, their indices; else None."""
-    out = [_variable_index(g) for g in ideal.generators]
-    return None if None in out else out
-
-
 def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
     """I : J^infty, as a stabilized iterated quotient.
 
@@ -705,8 +704,8 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
     ring = a.ring
     if b.is_zero():
         return Ideal(ring, (ring.one(),), saturated=True)
-    var_idx = _variable_indices(b)
-    if var_idx is not None and a.homogeneous and var_idx:
+    var_idx = [_variable_index(g) for g in b.generators]
+    if None not in var_idx and a.homogeneous:
         out: Ideal | None = None
         for i in var_idx:
             part = saturate(a, ring.variable(i))

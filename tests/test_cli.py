@@ -59,11 +59,27 @@ def test_bott_resolution_cli(tmp_path, capsys):
 
 
 def test_bott_resolution_malformed(tmp_path, capsys):
+    space = {"type": "A", "N": 9}
+    term = {"weight": [], "twist": 0, "h": 0}
+    cases = [
+        ({"space": space, "terms": [{"twist": 0, "h": 0}]}, "weight"),
+        (5, "JSON object"),
+        ({"space": 3, "terms": [term]}, "'space'"),
+        ({"space": space, "terms": 5}, "'terms'"),
+        ({"space": space, "terms": [5]}, "terms[0]"),
+        ({"space": space, "terms": [dict(term, weight=1)]}, "'weight'"),
+        ({"space": space, "terms": [dict(term, weight=["1"])]}, "'weight'"),
+        ({"space": space, "terms": [dict(term, twist=1.5)]}, "'twist'"),
+        ({"space": space, "terms": [dict(term, mult="2")]}, "'mult'"),
+    ]
+    for n in ("x", 2.5, True, 0):
+        cases.append(({"space": {"type": "A", "N": n}, "terms": [term]}, "'N'"))
+    cases.append(({"space": {"type": "C", "n": -1}, "terms": [term]}, "'n'"))
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"space": {"type": "A", "N": 9},
-                                "terms": [{"twist": 0, "h": 0}]}))
-    assert main(["bott", "resolution", "--file", str(path)]) == 1
-    assert "weight" in capsys.readouterr().err
+    for payload, field in cases:
+        path.write_text(json.dumps(payload))
+        assert main(["bott", "resolution", "--file", str(path)]) == 1, payload
+        assert field in capsys.readouterr().err, payload
 
 
 def test_vinberg_cli(capsys):

@@ -155,21 +155,37 @@ def test_saturate_examples(rxyz):
     assert generator_profile(got) == {1: 1, 2: 1}
 
 
-def test_saturate_idempotent(rxyz):
+def test_saturate_idempotent(rxyz, monkeypatch):
+    """Saturating again by the same variable, last or not, changes nothing
+    and reuses the basis the first saturation left on its result."""
+    import theta_loci.groebner as groebner
+
     x, y, z = rxyz.gens()
     ideal = Ideal(rxyz, [x * x * z, y * z * z, z * z * z - x * y * z])
-    once = saturate(ideal, z)
-    twice = saturate(once, z)
-    assert once.groebner_basis().elements == twice.groebner_basis().elements
+    runs = []
+    engine = groebner._buchberger_dicts
+
+    def counted(*args, **kwargs):
+        runs.append(len(args[0]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
+    for v in (z, x):
+        once = saturate(ideal, v)
+        runs.clear()
+        twice = saturate(once, v)
+        assert runs == []
+        assert once.groebner_basis().elements == twice.groebner_basis().elements
 
 
-def _divisible_by_last(g):
-    return all(e[-1] for e, _ in g.terms)
+def _divisible_by(g, i):
+    return all(e[i] for e, _ in g.terms)
 
 
 def test_saturate_fast_path_matches_t_method(rxyz):
-    """The degrevlex divide-out path agrees with the auxiliary-variable path."""
-    from theta_loci.groebner import _saturate_last_variable
+    """The degrevlex divide-out path agrees with the auxiliary-variable path
+    for every variable."""
+    from theta_loci.groebner import _saturate_variable
 
     x, y, z = rxyz.gens()
     rng = random.Random(3)
@@ -189,14 +205,14 @@ def test_saturate_fast_path_matches_t_method(rxyz):
         ideal = Ideal(rxyz, gens)
         if not ideal.generators:
             continue
-        fast = _saturate_last_variable(ideal)
-        assert not any(_divisible_by_last(g) for g in fast.groebner_basis())
-        # force the general method by saturating by z through a product
-        big_ring = ideal.ring
-        slow = saturate(Ideal(big_ring, ideal.generators), z * z)  # z^2: t-method
-        # I : z^inf == I : (z^2)^inf
-        assert fast.groebner_basis().elements == slow.groebner_basis().elements
-    # and saturation by a non-last variable permutes correctly
+        for i, v in enumerate(rxyz.gens()):
+            fast = _saturate_variable(ideal, i)
+            assert not any(_divisible_by(g, i) for g in fast.groebner_basis())
+            # force the general method by saturating through a product:
+            # I : z_i^inf == I : (z_i^2)^inf
+            slow = saturate(Ideal(rxyz, ideal.generators), v * v)
+            assert fast.groebner_basis().elements == slow.groebner_basis().elements
+    # and saturation by a non-last variable
     ideal = Ideal(rxyz, [x * y, x * z])
     got = saturate(ideal, x)
     assert sorted(str(g) for g in got.generators) == ["y", "z"]
@@ -363,7 +379,7 @@ def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     assert groebner.hilbert(fast).degree == 12
     assert calls == []
     monkeypatch.undo()
-    assert not any(_divisible_by_last(g) for g in fast.groebner_basis())
+    assert not any(_divisible_by(g, 8) for g in fast.groebner_basis())
 
     big = _extend_ring(ring, "t")
     t = big.variable(big.nvars - 1)

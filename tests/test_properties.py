@@ -15,8 +15,10 @@ NVARS = 4
 # sums of two exponents drawn here stay inside the packed range
 exponents = st.tuples(*[st.integers(0, _MAXEXP // 2 - 1)] * NVARS)
 small_exponents = st.tuples(*[st.integers(0, 3)] * NVARS)
-orders = st.sampled_from([(), (0,), (3,), (1, 2), (0, 2, 3)]).map(
-    lambda drop: MonomialOrder(NVARS, drop))
+orders = st.one_of(
+    st.sampled_from([(), (0,), (3,), (1, 2), (0, 2, 3)]).map(
+        lambda drop: MonomialOrder(NVARS, drop)),
+    st.sampled_from([0, 1]).map(lambda i: MonomialOrder(NVARS, last=i)))
 
 
 def _sign(x):
@@ -42,6 +44,22 @@ def degrevlex_cmp(a, b):
 def test_degrevlex_keys_order_like_degrevlex_cmp(a, b):
     order = MonomialOrder(NVARS)
     assert _sign(order.key(a) - order.key(b)) == degrevlex_cmp(a, b)
+
+
+@settings(deadline=None)
+@given(st.integers(0, NVARS - 1), st.one_of(exponents, small_exponents),
+       st.one_of(exponents, small_exponents))
+def test_last_variable_keys_order_like_degrevlex_cmp(i, a, b):
+    """MonomialOrder(n, last=i) is degrevlex with variable i moved last."""
+    def i_last(e):
+        return e[:i] + e[i + 1:] + (e[i],)
+
+    order = MonomialOrder(NVARS, last=i)
+    assert _sign(order.key(a) - order.key(b)) == degrevlex_cmp(i_last(a), i_last(b))
+    # the ring's own keys convert to the order's and back without unpacking
+    ring_key = MonomialOrder(NVARS).key(a)
+    assert order.moved(ring_key) == order.key(a)
+    assert order.moved(order.key(a), back=True) == ring_key
 
 
 @settings(deadline=None)
