@@ -25,9 +25,14 @@ elements, so every floor comes with a soundness argument.
 
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
-variable z_i there is a fast path: under degrevlex with z_i last, dividing
-each basis element by its largest power of z_i gives a Groebner basis of the
-saturation (Bayer-Stillman); the two paths agree and both are tested.
+variable z_i there is a fast path under degrevlex with z_i last, where a
+form is divisible by z_i exactly when its lead is (Bayer-Stillman).  The
+engine divides each new element by the power of z_i in its lead as it finds
+it, so the basis of the raw ideal, with its high-degree part from the
+component on z_i = 0, is never built; a floor or quota, which bounds R/I
+and not the saturation, prunes that run only until its first division.  An
+ideal whose basis under that order is already known has it divided instead.
+The two paths agree and both are tested.
 """
 
 from __future__ import annotations
@@ -130,6 +135,8 @@ class _Basis:
         self.lead_exps: list[tuple[int, ...]] = []
         self.tail: list[list[tuple[int, int]]] = []   # without the (monic) lead
         self.alive: list[bool] = []
+        # find_reducer's answers while the live leads stay as they are
+        self.found: dict[int, int] = {}
 
     def add(self, d: dict[int, int]) -> int:
         """Add a monic polynomial dict; returns its index."""
@@ -139,17 +146,35 @@ class _Basis:
         self.lead_exps.append(self.order.exps(k))
         self.tail.append(sorted((kk, c) for kk, c in d.items() if kk != k))
         self.alive.append(True)
+        self.found.clear()
         return len(self.lead_key) - 1
+
+    def kill(self, i: int) -> None:
+        self.alive[i] = False
+        self.found.clear()
+
+    def keep(self, live) -> None:
+        """Make exactly the elements with an index in live alive."""
+        self.alive = [False] * len(self.alive)
+        for i in live:
+            self.alive[i] = True
+        self.found.clear()
 
     def find_reducer(self, pk: int) -> int:
         """Index of the first live element whose lead divides plain pk, or -1."""
+        i = self.found.get(pk)
+        if i is not None:
+            return i
         guard = self.order._guard
         big = pk | guard
         alive = self.alive
-        for i, lpk in enumerate(self.lead_pk):
-            if alive[i] and (big - lpk) & guard == guard:
-                return i
-        return -1
+        i = -1
+        for j, lpk in enumerate(self.lead_pk):
+            if alive[j] and (big - lpk) & guard == guard:
+                i = j
+                break
+        self.found[pk] = i
+        return i
 
 
 def _normal_form_dict(f: dict[int, int], basis: _Basis) -> dict[int, int]:
@@ -233,8 +258,9 @@ class _Floor:
 
 def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
                       floor: _Floor | None = None,
-                      quota: dict[int, int] | None = None
-                      ) -> tuple[list[dict[int, int]], dict[int, int]]:
+                      quota: dict[int, int] | None = None,
+                      divide_last: bool = False
+                      ) -> tuple[list[dict[int, int]], dict[int, int] | None]:
     """Reduced Groebner basis of the given polynomial dicts, and mu.
 
     Inputs and S-pairs share one queue in degree order, the degree-d pairs
@@ -255,6 +281,20 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     - quota: {d: number of degree-d minimal generators of the final leading
       ideal}, when that ideal is known in advance.  Each new degree-d lead
       is one of them.
+
+    divide_last saturates homogeneous inputs I by the order's last variable
+    z (degrevlex, no drop block) while the basis is built: each new element
+    whose lead is divisible by z^e is divided by z^e before it joins the
+    basis.  Under degrevlex with z last the lead of a form has the fewest z,
+    so every term is divisible by z^e.
+    - Every element stays in I : z^infty.
+    - At the end no lead is divisible by z, so the basis is a reduced basis
+      of some J' with I <= J' <= I : z^infty and J' : z^infty = J'
+      (Bayer-Stillman, Invent. Math. 87, 1987).
+    - Hence J' = I : z^infty.
+    A floor or a quota bounds R/I, not R/(I : z^infty), so the run drops both
+    at its first division; mu is then None, since the inputs no longer meet
+    the basis of the ideal they generate.
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
@@ -296,7 +336,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
         # prune now-redundant reducers
         for i in range(t):
             if basis.alive[i] and order.divides(pkt, basis.lead_pk[i]):
-                basis.alive[i] = False
+                basis.kill(i)
 
     seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
@@ -317,6 +357,9 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
                                f"count in degree {deg}")
         return left
 
+    zshift = _BITS * (order.nvars - 1)  # z's slot in the plain packing
+    zkey = order.key(tuple(int(v == order.slots[-1]) for v in range(order.nvars)))
+    divided = False
     mu: dict[int, int] = {}
     nxt = 0
     deg_now, left = -1, None
@@ -341,7 +384,12 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
                 continue
             r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
         if r:
-            update(_monic(r, p))
+            r = _monic(r, p)
+            e = (order.plain(max(r)) >> zshift) & _MASK if divide_last else 0
+            if e:
+                r = {k - e * zkey: c for k, c in r.items()}
+                divided, floor, quota, left = True, None, None, None
+            update(r)
             if left is not None:
                 left -= 1
 
@@ -354,15 +402,13 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
         if not any(order.divides(basis.lead_pk[j], basis.lead_pk[i])
                    for j in minimal_idx):
             minimal_idx.append(i)
-    basis.alive = [False] * len(basis.alive)
-    for i in minimal_idx:
-        basis.alive[i] = True
+    basis.keep(minimal_idx)
     reduced: list[dict[int, int]] = []
     for i in minimal_idx:
         d = _normal_form_dict(dict(basis.tail[i]), basis)
         d[basis.lead_key[i]] = 1
         reduced.append(d)
-    return reduced, mu
+    return reduced, None if divided else mu
 
 
 # ---------------------------------------------------------------------------
@@ -577,36 +623,54 @@ def _keeping_basis(gb: GroebnerBasis, src: Ideal, saturated: bool = False) -> Id
 
 
 def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
-    """I : z_i^infty for homogeneous I, by dividing degrevlex basis elements.
+    """I : z_i^infty for homogeneous I, under degrevlex with z_i last.
 
-    In degrevlex with z_i last, a homogeneous polynomial is divisible by z_i
-    exactly when its leading monomial is, so dividing each element of the
-    basis once by its largest power of z_i gives a Groebner basis of the
-    saturation (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
-    One engine run over the divided set reduces it and counts its mu.  Its
-    leads generate the final leading ideal, so that run stops each degree
-    once it has found the degree's minimal leads (the engine's quota).
+    A homogeneous polynomial is divisible by z_i exactly when its leading
+    monomial is (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
+    With I's basis under that order cached, dividing each element once by
+    its largest power of z_i gives a basis of the saturation.  Otherwise one
+    engine run over the generators divides each new element as it is found
+    (divide_last in _buchberger_dicts); when it divides nothing, its basis
+    and mu are I's own and are cached on I.  When the basis came from a
+    division, one more engine run over it reduces it and counts its mu.
+    Its leads generate the final leading ideal, so that run stops each
+    degree once it has found the degree's minimal leads (the engine's quota).
     """
     ring, n = ideal.ring, ideal.ring.nvars
     order = MonomialOrder(n, last=i)
-    zkey = ring.variable(i).packed[0][0]
-    gb = ideal.groebner_basis(order)
-    divided, leads = [], []
-    for g in gb.elements:
-        zs = [(_unrev(k, n) >> (_BITS * i)) & _MASK for k, _ in g.packed]
-        e = min(zs)
-        # the order's lead has the fewest z_i; terms with as few z_i order
-        # among themselves as in the ring's own degrevlex, which g's keys follow
-        leads.append(ring._exps(g.packed[zs.index(e)][0] - e * zkey))
-        if e > 0:
-            # dividing every term by z_i^e keeps the order of their keys
-            g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
-        divided.append(g)
-    if divided != list(gb.elements):
-        sat = Ideal(ring, divided)
-        sat._quota = Counter(sum(e) for e in _minimalize_monomials(frozenset(leads)))
-        gb = buchberger_reduced(sat, order)
-    return _keeping_basis(gb, ideal, saturated=True)
+    gb = ideal._gb_cache.get(order.descriptor)
+    if gb is None:
+        out, mu = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
+                                    ring.prime, order,
+                                    ideal._floor if order.native else None,
+                                    ideal._quota, divide_last=True)
+        divided = [_from_dict(d, ring, order) for d in out]
+        if mu is not None:
+            gb = GroebnerBasis(ring, order.descriptor, tuple(divided), mu)
+            ideal._gb_cache[order.descriptor] = gb
+            return _keeping_basis(gb, ideal, saturated=True)
+        # a reduced basis: its leads are the minimal ones
+        quota = Counter(g.degree for g in divided)
+    else:
+        zkey = ring.variable(i).packed[0][0]
+        divided, leads = [], []
+        for g in gb.elements:
+            zs = [(_unrev(k, n) >> (_BITS * i)) & _MASK for k, _ in g.packed]
+            e = min(zs)
+            # the order's lead has the fewest z_i; terms with as few z_i order
+            # among themselves as in the ring's own degrevlex, which g's keys
+            # follow
+            leads.append(ring._exps(g.packed[zs.index(e)][0] - e * zkey))
+            if e > 0:
+                # dividing every term by z_i^e keeps the order of their keys
+                g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
+            divided.append(g)
+        if divided == list(gb.elements):
+            return _keeping_basis(gb, ideal, saturated=True)
+        quota = Counter(sum(e) for e in _minimalize_monomials(frozenset(leads)))
+    sat = Ideal(ring, divided)
+    sat._quota = quota
+    return _keeping_basis(buchberger_reduced(sat, order), ideal, saturated=True)
 
 
 def _variable_index(f: Polynomial) -> int | None:

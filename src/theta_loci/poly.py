@@ -103,8 +103,10 @@ def _unrev(key: int, k: int) -> int:
     return (_degree(key, k) << (_BITS * k)) - key
 
 
+# a variable name, the only kind parse can read back
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # a variable token carries its optional "^ exponent"
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})(?:\s*\^\s*(\d+))?"
                     r"|(\^)|(\*)|(\+)|(-))")
 
 
@@ -125,6 +127,10 @@ class PolynomialRing:
             raise UsageError("ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
+        for v in variables:
+            if not isinstance(v, str) or not re.fullmatch(_NAME, v):
+                raise UsageError(f"variable name {v!r} is not a letter or _ "
+                                 "followed by letters, digits or _")
         self.variables = variables
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}

@@ -156,6 +156,15 @@ def test_gb_cli_malformed_input(tmp_path, capsys):
         assert main(["gb", str(path)]) == 1
         assert named in capsys.readouterr().err
 
+    # a variable name parse cannot read back is refused, not misread: with
+    # "x*y" read as a product, this input would print the basis ["1"]
+    for names in (["x", "y", "x*y"], ["x", "2"], ["x y"], [""], ["x^2"]):
+        path.write_text(json.dumps({"prime": 101, "variables": names,
+                                    "generators": ["x*y - 1", "x"]}))
+        assert main(["gb", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "variables" in err and repr(names[-1]) in err
+
 
 def test_run_cli_exit_codes(tmp_path, capsys):
     out_path = tmp_path / "report.json"

@@ -292,6 +292,29 @@ def test_reduction_loop_never_unpacks_a_term(monkeypatch):
         assert got and groebner._from_dict(got, ring, order) == expected
 
 
+def test_reducer_memo_follows_the_live_leads(rxyz):
+    """find_reducer keeps its answers only while the live leads stay as they
+    are: a cached -1 and a cached reducer that gets killed are both
+    dropped."""
+    import theta_loci.groebner as groebner
+
+    x, y, z = rxyz.gens()
+    order = MonomialOrder(3)
+    basis = groebner._Basis(order, rxyz.prime)
+    pk = order.plain(order.key((2, 1, 0)))  # x^2*y
+    assert basis.find_reducer(pk) == -1
+    basis.add(groebner._to_dict(x * y - z * z, order))
+    assert basis.find_reducer(pk) == 0
+    basis.add(groebner._to_dict(x * x, order))
+    assert basis.find_reducer(pk) == 0  # the first live divisor
+    basis.kill(0)
+    assert basis.find_reducer(pk) == 1
+    basis.keep([0])
+    assert basis.find_reducer(pk) == 0
+    basis.keep([])
+    assert basis.find_reducer(pk) == -1
+
+
 def test_elimination_order_blocks():
     order = MonomialOrder(3, drop=(0,))
     # any monomial with the dropped variable dominates any without
@@ -371,9 +394,11 @@ def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     monkeypatch.setattr(groebner, "_spoly", counted_spoly)
     fast = saturate(raw, z9)
-    # the engine's work counts pin its algorithm: basis of raw, pruned by the
-    # Jozefiak-Pragacz floor, then of the divided set, pruned by its leads
-    assert (len(calls), len(pairs)) == (2, 335)
+    # the engine's work counts pin its algorithm: one run over raw that
+    # divides each new element by z9 as it is found (the Jozefiak-Pragacz
+    # floor prunes it only up to the first division), then one over the
+    # saturation's reduced basis, pruned by its leads
+    assert (len(calls), len(pairs)) == (2, 178)
     calls.clear()
     assert groebner.generator_profile(fast) == {2: 15, 3: 3}
     assert groebner.hilbert(fast).degree == 12

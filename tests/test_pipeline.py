@@ -194,9 +194,9 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     runs = []
     engine = groebner._buchberger_dicts
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         runs.append(len(args[0]))
-        return engine(*args)
+        return engine(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"

@@ -6,9 +6,11 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_loci.groebner import (_MAXEXP, MonomialOrder, UnivariatePolynomial,
-                                 _buchberger_dicts, _Floor,
-                                 _monomial_numerator, _to_dict)
+from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
+                                 UnivariatePolynomial, _buchberger_dicts,
+                                 _Floor, _monomial_numerator,
+                                 _saturate_variable, _to_dict,
+                                 generator_profile, saturate)
 from theta_loci.poly import PolynomialRing
 
 NVARS = 4
@@ -165,3 +167,34 @@ def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
                   _Floor(UnivariatePolynomial.zero(), droppable=False)):
         assert _buchberger_dicts(dicts, ring.prime, order, floor) == plain
     assert _buchberger_dicts(dicts, ring.prime, order, quota=quota) == plain
+
+
+@settings(deadline=None)
+@given(homogeneous_ideals())
+def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
+    """I : z_i^infty for each variable z_i: the engine run that divides as it
+    goes (fresh ideal) and the division of a cached basis under degrevlex
+    with z_i last give the same basis and generator profile as the
+    auxiliary-variable method through z_i^2.  For the last variable the
+    dividing run also carries an exact floor, read from the unpruned run's
+    leads; it may prune only until the run's first division."""
+    ring, gens = ring_gens
+    n = ring.nvars
+    for i, z in enumerate(ring.gens()):
+        fresh = _saturate_variable(Ideal(ring, gens), i)
+        cached = Ideal(ring, gens)
+        cached.groebner_basis(MonomialOrder(n, last=i))
+        divided = _saturate_variable(cached, i)
+        slow = saturate(Ideal(ring, gens), z * z)
+        basis = slow.groebner_basis().elements
+        assert fresh.groebner_basis().elements == basis
+        assert divided.groebner_basis().elements == basis
+        assert generator_profile(fresh) == generator_profile(divided) \
+            == generator_profile(slow)
+    leads = frozenset(ring._exps(g.packed[0][0])
+                      for g in Ideal(ring, gens).groebner_basis().elements)
+    floored = Ideal(ring, gens)
+    floored._floor = _Floor(_monomial_numerator(leads, n, {}), droppable=False)
+    got = _saturate_variable(floored, n - 1)
+    assert got.groebner_basis().elements == fresh.groebner_basis().elements
+    assert generator_profile(got) == generator_profile(fresh)
