@@ -12,16 +12,14 @@ polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
-A homogeneous degrevlex run can skip work that a Hilbert function proves
-redundant (Traverso 1996).  The degree-d monomials outside the leading ideal
-of the partial basis number c(d) >= HF(R/I)(d), and each new degree-d lead
-lowers c(d) by one.  Once c(d) meets a known floor F(d) <= HF(R/I)(d), the
-partial basis spans I_d, so the rest of the degree's pairs and inputs would
-reduce to zero and are skipped; basis and mu are unchanged.  Pfaffian ideals
-carry such a floor (multilinear._pfaffian_floor), and the re-run of a
-saturation whose final leading ideal is already known counts that ideal's
-minimal leads instead.  A floor that is too high would silently drop basis
-elements, so every floor comes with a soundness argument.
+A homogeneous degrevlex run whose final leading ideal is known in advance
+can skip work that this knowledge proves redundant (Traverso 1996).  Each
+new degree-d lead is one of that ideal's degree-d minimal generators, so once
+the run has found all of them the partial basis spans I_d; the rest of the
+degree's pairs and inputs would reduce to zero and are skipped, and basis and
+mu are unchanged.  The re-run that reduces a saturation's divided basis
+knows its leading ideal and carries such a quota.  A quota that is too small
+would silently drop basis elements, so it must come from the final leads.
 
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
@@ -29,9 +27,8 @@ variable z_i there is a fast path under degrevlex with z_i last, where a
 form is divisible by z_i exactly when its lead is (Bayer-Stillman).  The
 engine divides each new element by the power of z_i in its lead as it finds
 it, so the basis of the raw ideal, with its high-degree part from the
-component on z_i = 0, is never built; a floor or quota, which bounds R/I
-and not the saturation, prunes that run only until its first division.  An
-ideal whose basis under that order is already known has it divided instead.
+component on z_i = 0, is never built.  An ideal whose basis under that order
+is already known has it divided instead.
 The two paths agree and both are tested.
 """
 
@@ -241,23 +238,7 @@ def _lcm_key(order: MonomialOrder, e1, e2) -> int:
     return order.key(tuple(max(a, b) for a, b in zip(e1, e2)))
 
 
-@dataclass(frozen=True)
-class _Floor:
-    """A lower bound on the Hilbert function of R/I: HF(R/I)(d) >= HF(d) of
-    the numerator, at every degree d, for the ideal I the run computes.
-
-    A floor that is too high makes the engine drop basis elements silently,
-    so every floor must come with a proof.  A resolution floor (droppable)
-    is the Hilbert function of a generic member of a family that I belongs
-    to; it is dropped for the rest of a run once a degree ends above it.
-    """
-
-    numerator: UnivariatePolynomial
-    droppable: bool
-
-
 def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
-                      floor: _Floor | None = None,
                       quota: dict[int, int] | None = None,
                       divide_last: bool = False
                       ) -> tuple[list[dict[int, int]], dict[int, int] | None]:
@@ -268,19 +249,14 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     the degree-d inputs left with a nonzero remainder; for homogeneous
     inputs that is the number of degree-d minimal generators.
 
-    Hilbert-driven pruning (Traverso, J. Symbolic Comput. 22, 1996); pass a
-    floor or a quota for homogeneous inputs under a degrevlex order, where
-    every item of degree d is a degree-d form.  At its first item of degree d
-    the run fixes a budget of new degree-d leads; once it has found that
-    many, the rest of the degree's pairs and inputs would all reduce to zero
-    and are skipped, which leaves the basis and mu as they are.
-    - floor: the budget is c(d) - F(d).  c(d) counts the degree-d monomials
-      outside the current leading ideal, an upper bound on HF(R/I)(d), and
-      each new degree-d lead lowers it by one; F is the floor.  When c(d)
-      reaches F(d) = HF(R/I)(d), the partial basis spans I_d.
-    - quota: {d: number of degree-d minimal generators of the final leading
-      ideal}, when that ideal is known in advance.  Each new degree-d lead
-      is one of them.
+    Hilbert-driven pruning (Traverso, J. Symbolic Comput. 22, 1996): quota
+    is {d: number of degree-d minimal generators of the final leading
+    ideal}, when that ideal is known in advance; pass it only for
+    homogeneous inputs under a degrevlex order, where every item of degree
+    d is a degree-d form.  Each new degree-d lead is one of those
+    generators, so once the run has found quota[d] of them, the rest of the
+    degree's pairs and inputs would all reduce to zero and are skipped,
+    which leaves the basis and mu as they are.
 
     divide_last saturates homogeneous inputs I by the order's last variable
     z (degrevlex, no drop block) while the basis is built: each new element
@@ -292,9 +268,9 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
       of some J' with I <= J' <= I : z^infty and J' : z^infty = J'
       (Bayer-Stillman, Invent. Math. 87, 1987).
     - Hence J' = I : z^infty.
-    A floor or a quota bounds R/I, not R/(I : z^infty), so the run drops both
-    at its first division; mu is then None, since the inputs no longer meet
-    the basis of the ideal they generate.
+    A quota counts the final leads of I, not of I : z^infty, so a dividing
+    run takes none.  After a division mu is None, since the inputs no
+    longer meet the basis of the ideal they generate.
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
@@ -341,35 +317,17 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
 
-    def budget(deg: int) -> int | None:
-        """New degree-deg leads still to find; None when unbounded."""
-        if quota is not None:
-            return quota.get(deg, 0)
-        if floor is None:
-            return None
-        # live leads are minimal: a new lead is never divisible by a live one
-        leads = frozenset(e for e, a in zip(basis.lead_exps, basis.alive) if a)
-        left = _hilbert_function(_monomial_numerator(leads, order.nvars, {}),
-                                 order.nvars, deg) \
-            - _hilbert_function(floor.numerator, order.nvars, deg)
-        if left < 0:
-            raise RuntimeError("Hilbert floor above the leading ideal's "
-                               f"count in degree {deg}")
-        return left
-
     zshift = _BITS * (order.nvars - 1)  # z's slot in the plain packing
     zkey = order.key(tuple(int(v == order.slots[-1]) for v in range(order.nvars)))
     divided = False
     mu: dict[int, int] = {}
     nxt = 0
-    deg_now, left = -1, None
+    deg_now, left = -1, None  # left: degree-deg_now leads still to find
     while nxt < len(seeds) or pairs:
         take_seed = nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0])
         deg = seeds[nxt][0] if take_seed else pairs[0][0]
         if deg != deg_now:
-            if left and floor is not None and floor.droppable:
-                floor = None  # degree deg_now ended above the floor
-            deg_now, left = deg, budget(deg)
+            deg_now, left = deg, None if quota is None else quota.get(deg, 0)
         if take_seed:
             f = seeds[nxt][1]
             nxt += 1
@@ -388,7 +346,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             e = (order.plain(max(r)) >> zshift) & _MASK if divide_last else 0
             if e:
                 r = {k - e * zkey: c for k, c in r.items()}
-                divided, floor, quota, left = True, None, None, None
+                divided = True
             update(r)
             if left is not None:
                 left -= 1
@@ -419,24 +377,17 @@ class Ideal:
     """An ideal presented by generators; nonzero generators only.
 
     Instances are immutable apart from an internal per-order cache of
-    computed reduced bases.  Code that knows a bound on R/I may set _floor
-    (see _Floor) or _quota (see _buchberger_dicts); neither changes a result.
-    A floor prunes only the homogeneous run under the ring's own degrevlex,
-    where it pays off; a quota prunes one under any degrevlex order, so it
-    goes only on an ideal whose basis is computed under the order it counts.
+    computed reduced bases.
     """
 
-    def __init__(self, ring: PolynomialRing, generators, saturated: bool = False):
+    def __init__(self, ring: PolynomialRing, generators):
         gens = tuple(g for g in generators if not g.is_zero())
         for g in gens:
             if g.ring != ring:
                 raise UsageError("generator from a different ring")
         self.ring = ring
         self.generators = gens
-        self.saturated = saturated
         self._gb_cache: dict[str, GroebnerBasis] = {}
-        self._floor: _Floor | None = None
-        self._quota: dict[int, int] | None = None
 
     @property
     def homogeneous(self) -> bool:
@@ -538,12 +489,7 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
         ring = gens[0].ring
     if order is None:
         order = MonomialOrder(ring.nvars)
-    floor = quota = None
-    if isinstance(ideal_or_polys, Ideal) and not order.drop \
-            and ideal_or_polys.homogeneous:
-        floor, quota = ideal_or_polys._floor if order.native else None, ideal_or_polys._quota
-    dicts = [_to_dict(g, order) for g in gens]
-    out, mu = _buchberger_dicts(dicts, ring.prime, order, floor, quota)
+    out, mu = _buchberger_dicts([_to_dict(g, order) for g in gens], ring.prime, order)
     return GroebnerBasis(ring, order.descriptor,
                          tuple(_from_dict(d, ring, order) for d in out), mu)
 
@@ -609,14 +555,14 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     return Ideal(ring, _avoiding(buchberger_reduced(ideal, order).elements, drop))
 
 
-def _keeping_basis(gb: GroebnerBasis, src: Ideal, saturated: bool = False) -> Ideal:
+def _keeping_basis(gb: GroebnerBasis, src: Ideal) -> Ideal:
     """The ideal generated by gb, with gb cached on it.
 
     gb must be a basis of src.  It is cached only when src's generators are
     homogeneous: mu counts minimal generators only then, and an inhomogeneous
     ideal can have a homogeneous basis ((x + y^2, y^2) has basis (x, y^2)).
     """
-    out = Ideal(gb.ring, gb.elements, saturated=saturated)
+    out = Ideal(gb.ring, gb.elements)
     if src.homogeneous:
         out._gb_cache[gb.order] = gb
     return out
@@ -641,14 +587,12 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     gb = ideal._gb_cache.get(order.descriptor)
     if gb is None:
         out, mu = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
-                                    ring.prime, order,
-                                    ideal._floor if order.native else None,
-                                    ideal._quota, divide_last=True)
+                                    ring.prime, order, divide_last=True)
         divided = [_from_dict(d, ring, order) for d in out]
         if mu is not None:
             gb = GroebnerBasis(ring, order.descriptor, tuple(divided), mu)
             ideal._gb_cache[order.descriptor] = gb
-            return _keeping_basis(gb, ideal, saturated=True)
+            return _keeping_basis(gb, ideal)
         # a reduced basis: its leads are the minimal ones
         quota = Counter(g.degree for g in divided)
     else:
@@ -666,11 +610,13 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
                 g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
             divided.append(g)
         if divided == list(gb.elements):
-            return _keeping_basis(gb, ideal, saturated=True)
+            return _keeping_basis(gb, ideal)
         quota = Counter(sum(e) for e in _minimalize_monomials(frozenset(leads)))
-    sat = Ideal(ring, divided)
-    sat._quota = quota
-    return _keeping_basis(buchberger_reduced(sat, order), ideal, saturated=True)
+    out, mu = _buchberger_dicts([_to_dict(g, order) for g in divided],
+                                ring.prime, order, quota=quota)
+    gb = GroebnerBasis(ring, order.descriptor,
+                       tuple(_from_dict(d, ring, order) for d in out), mu)
+    return _keeping_basis(gb, ideal)
 
 
 def _variable_index(f: Polynomial) -> int | None:
@@ -688,9 +634,9 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     if f.ring != ring:
         raise UsageError("saturating polynomial from a different ring")
     if f.is_constant():
-        return _keeping_basis(ideal.groebner_basis(), ideal, saturated=True)
+        return _keeping_basis(ideal.groebner_basis(), ideal)
     if ideal.is_zero():
-        return Ideal(ring, (), saturated=True)
+        return Ideal(ring, ())
     # fast path: f is a single variable and I is homogeneous
     idx = _variable_index(f)
     if idx is not None and ideal.homogeneous:
@@ -700,7 +646,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     gens = [_lift(g, big) for g in ideal.generators]
     gens.append(t * _lift(f, big) - 1)
     kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
-    return Ideal(ring, [_lift(g, ring) for g in kept], saturated=True)
+    return Ideal(ring, [_lift(g, ring) for g in kept])
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
@@ -767,7 +713,7 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
         raise UsageError("ideals from different rings")
     ring = a.ring
     if b.is_zero():
-        return Ideal(ring, (ring.one(),), saturated=True)
+        return Ideal(ring, (ring.one(),))
     var_idx = [_variable_index(g) for g in b.generators]
     if None not in var_idx and a.homogeneous:
         out: Ideal | None = None
@@ -775,12 +721,12 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
             part = saturate(a, ring.variable(i))
             out = part if out is None else ideal_intersection(out, part)
         assert out is not None
-        return _keeping_basis(out.groebner_basis(), out, saturated=True)
+        return _keeping_basis(out.groebner_basis(), out)
     cur = _keeping_basis(a.groebner_basis(), a)
     while True:
         nxt = ideal_quotient(cur, b)
         if nxt.groebner_basis().elements == cur.groebner_basis().elements:
-            return _keeping_basis(cur.groebner_basis(), cur, saturated=True)
+            return _keeping_basis(cur.groebner_basis(), cur)
         cur = nxt
 
 

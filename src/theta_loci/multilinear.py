@@ -11,20 +11,16 @@ Two section-to-matrix constructions are provided:
 
 Sections are drawn deterministically with splitmix64: coefficient = next64
 mod p, index tuples consumed in lexicographic order.  This is bit-exact
-across implementations and is part of the JSON interchange contract.
+across implementations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError, UsageError
-from .complexes import (buchsbaum_eisenbud_numerator_terms,
-                        jozefiak_pragacz_numerator_terms)
-from .groebner import (Ideal, UnivariatePolynomial, _Floor,
-                       resolution_hilbert_numerator)
+from .errors import UsageError
+from .groebner import Ideal
 from .poly import Polynomial, PolynomialRing
 
 _M64 = (1 << 64) - 1
@@ -156,52 +152,14 @@ def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> Polynomial:
 
 
 def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
-    """Ideal of Pfaffians of all principal size x size submatrices.
-
-    The ideal carries a Hilbert floor for its Groebner engine run (see
-    _pfaffian_floor); the floor only skips work that reduces to zero.
-    """
+    """Ideal of Pfaffians of all principal size x size submatrices."""
     if size % 2:
         raise UsageError("Pfaffian ideal size must be even")
     if size > matrix.size:
         raise UsageError("submatrix size exceeds matrix size")
     pfs = [_sub_pfaffian(matrix, sum(1 << i for i in s))
            for s in combinations(range(matrix.size), size)]
-    ideal = Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
-    ideal._floor = _pfaffian_floor(matrix, size)
-    return ideal
-
-
-def _pfaffian_floor(matrix: SkewMatrix, size: int) -> _Floor:
-    """A lower bound on the Hilbert function of R/Pf_size(matrix).
-
-    For a matrix of linear forms, in a ring with at least as many variables
-    as the expected codimension:
-    - size 2m - 2 of a 2m x 2m matrix (codimension 6, n >= 6): the
-      Jozefiak-Pragacz resolution;
-    - size 2m of a (2m+1) x (2m+1) matrix (codimension 3, n >= 3): the
-      Buchsbaum-Eisenbud resolution.
-    These are the Hilbert functions of a generic matrix of linear forms,
-    whose Pfaffian ideal has the expected codimension and is perfect in
-    every characteristic, so the resolution applies.  dim I_d is the rank of
-    a matrix whose entries are polynomial in the matrix's coefficients, so
-    it is lower semicontinuous: for every special matrix dim I_d is at most
-    the generic value, and HF(R/I)(d) at least the floor.  A special matrix
-    only loses pruning, never the answer; the floor is dropped once a degree
-    ends above it.  Every other case gets the zero floor.
-    """
-    linear = all(f.is_zero() or (f.degree == 1 and f.is_homogeneous())
-                 for row in matrix.entries for f in row)
-    nvars, m = matrix.ring.nvars, matrix.size // 2
-    terms = None
-    if linear and matrix.size % 2 == 0 and size == 2 * m - 2 and m >= 2 \
-            and nvars >= 6:
-        terms = jozefiak_pragacz_numerator_terms(m)
-    elif linear and matrix.size % 2 and size == 2 * m and m >= 1 and nvars >= 3:
-        terms = buchsbaum_eisenbud_numerator_terms(m)
-    if terms is None:
-        return _Floor(UnivariatePolynomial.zero(), droppable=False)
-    return _Floor(resolution_hilbert_numerator(terms), droppable=True)
+    return Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -346,57 +304,3 @@ def random_section(case: str, seed: int, prime: int = 101):
     if case == "c5w25":
         return TensorSection.from_dict(prime, coeffs)
     return AlternatingVector(9, 3, prime, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange for sections
-
-
-def section_to_json(section, case: str) -> str:
-    if isinstance(section, AlternatingVector):
-        terms = [{"indices": list(k), "coeff": c}
-                 for k, c in sorted(section.coefficients.items())]
-        prime = section.prime
-    elif isinstance(section, TensorSection):
-        terms = [{"indices": list(k), "coeff": c} for k, c in section.terms]
-        prime = section.prime
-    else:
-        raise UsageError("unsupported section type")
-    return json.dumps({"prime": prime, "case": case, "terms": terms},
-                      sort_keys=True, indent=2)
-
-
-def section_from_json(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"section JSON is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("section JSON must be an object")
-    for field_name in ("prime", "case", "terms"):
-        if field_name not in data:
-            raise InputError(f"section JSON missing field {field_name!r}")
-    prime = data["prime"]
-    case = data["case"]
-    if type(prime) is not int or prime < 2:
-        raise InputError(f"section JSON field 'prime' must be an integer >= 2, got {prime!r}")
-    if not isinstance(case, str) or case not in _CASE_INDICES:
-        raise InputError(f"section JSON field 'case' has unknown value {case!r}")
-    if not isinstance(data["terms"], list):
-        raise InputError("section JSON field 'terms' must be a list")
-    coeffs = {}
-    for i, term in enumerate(data["terms"]):
-        if not isinstance(term, dict) or "indices" not in term or "coeff" not in term:
-            raise InputError(f"section JSON terms[{i}] missing 'indices' or 'coeff'")
-        indices, coeff = term["indices"], term["coeff"]
-        if not isinstance(indices, list) or any(type(j) is not int for j in indices):
-            raise InputError(f"section JSON terms[{i}] field 'indices' must be a list of integers")
-        if type(coeff) is not int:
-            raise InputError(f"section JSON terms[{i}] field 'coeff' must be an integer")
-        coeffs[tuple(indices)] = coeff
-    try:
-        if case == "c5w25":
-            return TensorSection.from_dict(prime, coeffs)
-        return AlternatingVector(9, 3, prime, coeffs)
-    except UsageError as exc:
-        raise InputError(f"section JSON field 'terms' invalid: {exc}") from exc

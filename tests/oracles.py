@@ -1,0 +1,53 @@
+"""Brute-force oracles that only the tests use.
+
+The Bott calculator counts the length of a signed permutation as the number
+of positive roots it sends negative.  hyperoctahedral_word_lengths finds the
+minimal word lengths by breadth-first search over the hyperoctahedral group,
+and window_length reads the root count off a permutation in window notation,
+so the tests can hold the calculator's signed_sort_length against both.
+"""
+
+from theta_loci.bott import _signed_length
+from theta_loci.errors import UsageError
+
+
+def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:
+    """BFS word lengths w.r.t. s_1..s_{n-1} (adjacent swap) and s_n (negate last)."""
+    ident = tuple(range(1, n + 1))
+    dist = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            neighbors = []
+            for i in range(n - 1):  # s_i w: swap the values i+1 and i+2
+                a, b = i + 1, i + 2
+                swapped = []
+                for x in w:
+                    if abs(x) == a:
+                        swapped.append(b if x > 0 else -b)
+                    elif abs(x) == b:
+                        swapped.append(a if x > 0 else -a)
+                    else:
+                        swapped.append(x)
+                neighbors.append(tuple(swapped))
+            neighbors.append(tuple(-x if abs(x) == n else x for x in w))  # s_n w
+            for u in neighbors:
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def window_length(w: tuple[int, ...]) -> int:
+    """Root-count length of a signed permutation given in window notation.
+
+    w[j-1] = w(j) as a signed value; the linear action is e_j -> sgn e_{|w(j)|}.
+    """
+    n = len(w)
+    pos = [abs(w[j]) - 1 for j in range(n)]
+    if len(set(pos)) != n:
+        raise UsageError("not a permutation window")
+    sgn = [1 if w[j] > 0 else -1 for j in range(n)]
+    return _signed_length(pos, sgn)

@@ -8,9 +8,8 @@ bounds; the implementation typically runs orders of magnitude faster.
 import random
 import time
 
-from theta_loci.bott import (cohomology_of_resolution,
-                             hyperoctahedral_word_lengths, schur_dim,
-                             schur_module_rank, verlinde, window_length)
+from theta_loci.bott import (cohomology_of_resolution, schur_dim,
+                             schur_module_rank, verlinde)
 from theta_loci.complexes import (GR36_BETTI_TOTALS,
                                   buchsbaum_eisenbud_numerator_terms,
                                   gr36_betti_totals,
@@ -22,6 +21,8 @@ from theta_loci.multilinear import SkewMatrix, pfaffian
 from theta_loci.pipeline import GALLERY, example_gallery, run_case
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import enumerate_supports, orbit_table
+
+from oracles import hyperoctahedral_word_lengths, window_length
 
 
 def _report(num, desc, ok, elapsed, budget):

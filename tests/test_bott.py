@@ -8,14 +8,15 @@ import pytest
 from theta_loci.errors import UsageError
 from theta_loci.bott import (BottOutcome, Partition, ResolutionTerm, Space,
                              bott_type_a, bott_type_c,
-                             cohomology_of_resolution,
-                             hyperoctahedral_word_lengths, schur_dim,
+                             cohomology_of_resolution, schur_dim,
                              schur_module_rank, signed_sort_length, verlinde,
-                             weyl_dim_type_c, window_length)
+                             weyl_dim_type_c)
 from theta_loci.complexes import (GR36_BETTI_TOTALS, gr36_betti_totals,
                                   koszul_complex_terms,
                                   submaximal_pfaffian_complex_p8,
                                   symplectic_codim4_complex_p7)
+
+from oracles import hyperoctahedral_word_lengths, window_length
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """The classical resolution data verified against live Groebner computations
 of the corresponding generic ideals: the predicted alternating-sum numerator
 must equal the computed Hilbert numerator and the codimension must match the
-resolution length (perfection).  Hilbert data here come from ideals without
-the Pfaffian floor, since a run pruned by a floor cannot check that floor."""
+resolution length (perfection)."""
 
 import random
 from itertools import combinations
@@ -25,10 +24,6 @@ def _generic_skew(n: int) -> SkewMatrix:
     return SkewMatrix.from_upper(ring, n, upper)
 
 
-def _unfloored(ideal: Ideal) -> Ideal:
-    return Ideal(ideal.ring, ideal.generators)
-
-
 def _random_linear_skew(rng, size: int, nvars: int) -> SkewMatrix:
     ring = PolynomialRing(prime=101, nvars=nvars)
     z = ring.gens()
@@ -47,7 +42,7 @@ def test_koszul_is_variable_ideal_numerator():
 def test_buchsbaum_eisenbud_generic():
     """4x4 Pfaffians of the generic skew 5x5: Gorenstein of codimension 3."""
     M = _generic_skew(5)
-    hd = hilbert(_unfloored(pfaffian_ideal(M, 4)))
+    hd = hilbert(pfaffian_ideal(M, 4))
     pred = resolution_hilbert_numerator(buchsbaum_eisenbud_numerator_terms(2))
     assert hd.numerator == pred
     assert M.ring.nvars - hd.krull_dimension == 3
@@ -81,31 +76,28 @@ def test_goto_jozefiak_tachibana_generic():
 def test_jozefiak_pragacz_generic():
     """4x4 Pfaffians of the generic skew 6x6: codimension 6."""
     M = _generic_skew(6)
-    hd = hilbert(_unfloored(pfaffian_ideal(M, 4)))
+    hd = hilbert(pfaffian_ideal(M, 4))
     pred = resolution_hilbert_numerator(jozefiak_pragacz_numerator_terms(3))
     assert hd.numerator == pred
     assert M.ring.nvars - hd.krull_dimension == 6
 
 
-def test_pfaffian_floors_are_generic_hilbert_functions():
-    """The floor pfaffian_ideal attaches is the Hilbert function of a random
-    (so generic) matrix of linear forms: Jozefiak-Pragacz for size 2m - 2 of
-    2m x 2m, Buchsbaum-Eisenbud for size 2m of (2m+1) x (2m+1).  Every
-    other case gets the zero floor, which is never dropped."""
+def test_random_linear_pfaffians_have_generic_hilbert_functions():
+    """A random (so generic) matrix of linear forms, in at least as many
+    variables as the expected codimension, has the Hilbert function of the
+    classical resolution: Jozefiak-Pragacz for the size 2m - 2 Pfaffians of
+    a 2m x 2m matrix, Buchsbaum-Eisenbud for the size 2m Pfaffians of a
+    (2m+1) x (2m+1) matrix."""
     rng = random.Random(5)
     for size, sub, nvars in ((6, 4, 6), (6, 4, 7), (6, 4, 8), (6, 4, 9),
                              (8, 6, 6), (5, 4, 3), (5, 4, 4), (5, 4, 5),
                              (7, 6, 3), (7, 6, 4), (7, 6, 5)):
+        m = size // 2
+        terms = (jozefiak_pragacz_numerator_terms(m) if size % 2 == 0
+                 else buchsbaum_eisenbud_numerator_terms(m))
         ideal = pfaffian_ideal(_random_linear_skew(rng, size, nvars), sub)
-        assert ideal._floor.droppable
-        assert hilbert(_unfloored(ideal)).numerator == ideal._floor.numerator, \
+        assert hilbert(ideal).numerator == resolution_hilbert_numerator(terms), \
             (size, sub, nvars)
-    M = _random_linear_skew(rng, 8, 5)  # below codimension 6
-    squared = SkewMatrix.from_upper(M.ring, 8, {
-        (i, j): M.entries[i][j] ** 2 for i in range(8) for j in range(i + 1, 8)})
-    for ideal in (pfaffian_ideal(M, 6), pfaffian_ideal(M, 4),
-                  pfaffian_ideal(squared, 6)):
-        assert ideal._floor.numerator.is_zero() and not ideal._floor.droppable
 
 
 def test_w39_raw_pf6_meets_the_jp_floor_through_degree_4():
@@ -115,10 +107,8 @@ def test_w39_raw_pf6_meets_the_jp_floor_through_degree_4():
     jp = resolution_hilbert_numerator(jozefiak_pragacz_numerator_terms(4))
     for seed in (1, 2, 3):
         raw = pfaffian_ideal(w39_matrix(random_section("w39", seed, 101)), 6)
-        assert raw._floor.numerator == jp
-        plain = _unfloored(raw)
-        hd = hilbert(plain)
-        top = max(g.degree for g in plain.groebner_basis())
+        hd = hilbert(raw)
+        top = max(g.degree for g in raw.groebner_basis())
         hf = [hd.hilbert_function(d) for d in range(top + 1)]
         jf = [_hilbert_function(jp, 9, d) for d in range(top + 1)]
         assert all(a >= b for a, b in zip(hf, jf)), seed

@@ -143,7 +143,6 @@ def test_saturate_examples(rxyz):
     x, y, z = rxyz.gens()
     got = saturate(Ideal(rxyz, [x * z, y * z]), z)
     assert sorted(str(g) for g in got.generators) == ["x", "y"]
-    assert got.saturated
     assert saturate(Ideal(rxyz, [x * x]), x).is_unit()
     ideal = Ideal(rxyz, [x * y - z * z])
     assert saturate(ideal, rxyz.one()) == ideal
@@ -394,9 +393,8 @@ def test_saturation_paths_agree_on_pipeline_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     monkeypatch.setattr(groebner, "_spoly", counted_spoly)
     fast = saturate(raw, z9)
-    # the engine's work counts pin its algorithm: one run over raw that
-    # divides each new element by z9 as it is found (the Jozefiak-Pragacz
-    # floor prunes it only up to the first division), then one over the
+    # the engine's work counts pin its algorithm: one unpruned run over raw
+    # that divides each new element by z9 as it is found, then one over the
     # saturation's reduced basis, pruned by its leads
     assert (len(calls), len(pairs)) == (2, 178)
     calls.clear()

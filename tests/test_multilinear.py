@@ -8,8 +8,7 @@ import pytest
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import (AlternatingVector, SkewMatrix, SplitMix64,
                                     c5w25_matrix, pfaffian, pfaffian_ideal,
-                                    random_section, section_from_json,
-                                    section_to_json, w39_matrix, w39_ring)
+                                    random_section, w39_matrix, w39_ring)
 from theta_loci.poly import PolynomialRing
 
 
@@ -234,34 +233,3 @@ def test_splitmix64_reference_values():
     rng = SplitMix64(1234567)
     assert [rng.next64() for _ in range(3)] == [
         6457827717110365317, 3203168211198807973, 9817491932198370423]
-
-
-def test_section_json_roundtrip():
-    for case in ("w39", "c3c3c3", "c5w25"):
-        section = random_section(case, 77, 101)
-        text = section_to_json(section, case)
-        again = section_from_json(text)
-        assert again == section or again.terms == section.terms
-
-
-def test_section_json_errors():
-    from theta_loci.errors import InputError
-
-    with pytest.raises(InputError, match="prime"):
-        section_from_json('{"case": "w39", "terms": []}')
-    with pytest.raises(InputError, match="case"):
-        section_from_json('{"prime": 101, "case": "zzz", "terms": []}')
-    with pytest.raises(InputError, match="terms"):
-        section_from_json('{"prime": 101, "case": "w39", "terms": [{"coeff": 1}]}')
-    term = '{"indices": [1, 2, 3], "coeff": 1}'
-    for text, named in (
-            (f'{{"prime": "101", "case": "w39", "terms": [{term}]}}', "prime"),
-            (f'{{"prime": 101.0, "case": "w39", "terms": [{term}]}}', "prime"),
-            ('{"prime": 101, "case": "w39", "terms": [{"indices": [1, 2, 3], '
-             '"coeff": "1"}]}', "coeff"),
-            ('{"prime": 101, "case": "w39", "terms": [{"indices": 123, '
-             '"coeff": 1}]}', "indices"),
-            ('{"prime": 101, "case": "w39", "terms": 5}', "terms"),
-            ('[1, 2]', "object")):
-        with pytest.raises(InputError, match=named):
-            section_from_json(text)

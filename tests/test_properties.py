@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
-                                 UnivariatePolynomial, _buchberger_dicts,
-                                 _Floor, _monomial_numerator,
-                                 _saturate_variable, _to_dict,
-                                 generator_profile, saturate)
+                                 _buchberger_dicts, _saturate_variable,
+                                 _to_dict, generator_profile, saturate)
 from theta_loci.poly import PolynomialRing
 
 NVARS = 4
@@ -153,19 +151,13 @@ def homogeneous_ideals(draw):
 @settings(deadline=None)
 @given(homogeneous_ideals())
 def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
-    """Runs pruned by an exact floor, the zero floor and a lead quota return
-    the unpruned run's reduced basis and mu; floor and quota are read from
-    the unpruned run's leads."""
+    """A run pruned by a lead quota returns the unpruned run's reduced basis
+    and mu; the quota is read from the unpruned run's leads."""
     ring, gens = ring_gens
     order = MonomialOrder(ring.nvars)
     dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
     plain = _buchberger_dicts(dicts, ring.prime, order)
-    leads = [order.exps(max(d)) for d in plain[0]]
-    quota = Counter(sum(e) for e in leads)
-    exact = _monomial_numerator(frozenset(leads), ring.nvars, {})
-    for floor in (_Floor(exact, droppable=True),
-                  _Floor(UnivariatePolynomial.zero(), droppable=False)):
-        assert _buchberger_dicts(dicts, ring.prime, order, floor) == plain
+    quota = Counter(sum(order.exps(max(d))) for d in plain[0])
     assert _buchberger_dicts(dicts, ring.prime, order, quota=quota) == plain
 
 
@@ -175,9 +167,7 @@ def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
     """I : z_i^infty for each variable z_i: the engine run that divides as it
     goes (fresh ideal) and the division of a cached basis under degrevlex
     with z_i last give the same basis and generator profile as the
-    auxiliary-variable method through z_i^2.  For the last variable the
-    dividing run also carries an exact floor, read from the unpruned run's
-    leads; it may prune only until the run's first division."""
+    auxiliary-variable method through z_i^2."""
     ring, gens = ring_gens
     n = ring.nvars
     for i, z in enumerate(ring.gens()):
@@ -191,10 +181,3 @@ def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
         assert divided.groebner_basis().elements == basis
         assert generator_profile(fresh) == generator_profile(divided) \
             == generator_profile(slow)
-    leads = frozenset(ring._exps(g.packed[0][0])
-                      for g in Ideal(ring, gens).groebner_basis().elements)
-    floored = Ideal(ring, gens)
-    floored._floor = _Floor(_monomial_numerator(leads, n, {}), droppable=False)
-    got = _saturate_variable(floored, n - 1)
-    assert got.groebner_basis().elements == fresh.groebner_basis().elements
-    assert generator_profile(got) == generator_profile(fresh)
