@@ -21,8 +21,11 @@ from . import vinberg as vinberg_mod
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list; an empty entry is an error,
+    and the empty string is the empty list."""
+    items = text.replace(" ", "")
     try:
-        return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
+        return [int(x) for x in items.split(",")] if items else []
     except ValueError as exc:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
 

@@ -17,9 +17,11 @@ can skip work that this knowledge proves redundant (Traverso 1996).  Each
 new degree-d lead is one of that ideal's degree-d minimal generators, so once
 the run has found all of them the partial basis spans I_d; the rest of the
 degree's pairs and inputs would reduce to zero and are skipped, and basis and
-mu are unchanged.  The re-run that reduces a saturation's divided basis
-knows its leading ideal and carries such a quota.  A quota that is too small
-would silently drop basis elements, so it must come from the final leads.
+mu are unchanged.  A saturation's dividing run counts no mu; when a profile
+of its result is read, generator_profile counts mu by one more run over the
+reduced basis, which knows its leading ideal and carries such a quota.  A
+quota that is too small would silently drop basis elements, so it must come
+from the final leads.
 
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
@@ -27,9 +29,8 @@ variable z_i there is a fast path under degrevlex with z_i last, where a
 form is divisible by z_i exactly when its lead is (Bayer-Stillman).  The
 engine divides each new element by the power of z_i in its lead as it finds
 it, so the basis of the raw ideal, with its high-degree part from the
-component on z_i = 0, is never built.  An ideal whose basis under that order
-is already known has it divided instead.
-The two paths agree and both are tested.
+component on z_i = 0, is never built.  The two paths agree and both are
+tested.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     d is a degree-d form.  Each new degree-d lead is one of those
     generators, so once the run has found quota[d] of them, the rest of the
     degree's pairs and inputs would all reduce to zero and are skipped,
-    which leaves the basis and mu as they are.
+    which leaves the basis and mu as they are.  generator_profile reads its
+    quota from the leads of a reduced basis, the run's own inputs.
 
     divide_last saturates homogeneous inputs I by the order's last variable
     z (degrevlex, no drop block) while the basis is built: each new element
@@ -270,7 +272,8 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     - Hence J' = I : z^infty.
     A quota counts the final leads of I, not of I : z^infty, so a dividing
     run takes none.  After a division mu is None, since the inputs no
-    longer meet the basis of the ideal they generate.
+    longer meet the basis of the ideal they generate; generator_profile
+    counts it by a quota run when it is read.
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
@@ -431,13 +434,15 @@ class GroebnerBasis:
 
     mu[d] counts the degree-d inputs that the engine run which built the
     basis left with a nonzero remainder.  For homogeneous generators that is
-    the number of degree-d minimal generators of the ideal.
+    the number of degree-d minimal generators of the ideal.  mu is None when
+    the run divided its elements by a variable (a saturation); then
+    generator_profile counts it.
     """
 
     ring: PolynomialRing
     order: str
     elements: tuple[Polynomial, ...]
-    mu: dict[int, int] = field(compare=False)
+    mu: dict[int, int] | None = field(compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -571,51 +576,23 @@ def _keeping_basis(gb: GroebnerBasis, src: Ideal) -> Ideal:
 def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     """I : z_i^infty for homogeneous I, under degrevlex with z_i last.
 
-    A homogeneous polynomial is divisible by z_i exactly when its leading
-    monomial is (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.12).
-    With I's basis under that order cached, dividing each element once by
-    its largest power of z_i gives a basis of the saturation.  Otherwise one
-    engine run over the generators divides each new element as it is found
-    (divide_last in _buchberger_dicts); when it divides nothing, its basis
-    and mu are I's own and are cached on I.  When the basis came from a
-    division, one more engine run over it reduces it and counts its mu.
-    Its leads generate the final leading ideal, so that run stops each
-    degree once it has found the degree's minimal leads (the engine's quota).
+    A basis of I under that order that is already cached and has no element
+    divisible by z_i is a basis of the saturation.  Otherwise one engine run
+    over the generators divides each new element by the power of z_i in its
+    lead as it is found (divide_last in _buchberger_dicts; Bayer-Stillman
+    1987).  That run counts mu only when it divided nothing; after a division
+    generator_profile counts it, if it is ever read.
     """
     ring, n = ideal.ring, ideal.ring.nvars
     order = MonomialOrder(n, last=i)
     gb = ideal._gb_cache.get(order.descriptor)
-    if gb is None:
+    zmask = _MASK << (_BITS * i)
+    if gb is None or any(all(_unrev(k, n) & zmask for k, _ in g.packed)
+                         for g in gb.elements):
         out, mu = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
                                     ring.prime, order, divide_last=True)
-        divided = [_from_dict(d, ring, order) for d in out]
-        if mu is not None:
-            gb = GroebnerBasis(ring, order.descriptor, tuple(divided), mu)
-            ideal._gb_cache[order.descriptor] = gb
-            return _keeping_basis(gb, ideal)
-        # a reduced basis: its leads are the minimal ones
-        quota = Counter(g.degree for g in divided)
-    else:
-        zkey = ring.variable(i).packed[0][0]
-        divided, leads = [], []
-        for g in gb.elements:
-            zs = [(_unrev(k, n) >> (_BITS * i)) & _MASK for k, _ in g.packed]
-            e = min(zs)
-            # the order's lead has the fewest z_i; terms with as few z_i order
-            # among themselves as in the ring's own degrevlex, which g's keys
-            # follow
-            leads.append(ring._exps(g.packed[zs.index(e)][0] - e * zkey))
-            if e > 0:
-                # dividing every term by z_i^e keeps the order of their keys
-                g = Polynomial(ring, tuple((k - e * zkey, c) for k, c in g.packed))
-            divided.append(g)
-        if divided == list(gb.elements):
-            return _keeping_basis(gb, ideal)
-        quota = Counter(sum(e) for e in _minimalize_monomials(frozenset(leads)))
-    out, mu = _buchberger_dicts([_to_dict(g, order) for g in divided],
-                                ring.prime, order, quota=quota)
-    gb = GroebnerBasis(ring, order.descriptor,
-                       tuple(_from_dict(d, ring, order) for d in out), mu)
+        gb = GroebnerBasis(ring, order.descriptor,
+                           tuple(_from_dict(d, ring, order) for d in out), mu)
     return _keeping_basis(gb, ideal)
 
 
@@ -945,13 +922,21 @@ def hilbert(ideal: Ideal) -> HilbertData:
 def generator_profile(ideal: Ideal) -> dict[int, int]:
     """Minimal generator counts by degree, {degree: count}, for homogeneous I.
 
-    Read from the mu of the degrevlex basis, so it makes no engine run of its
-    own; the zero and the unit ideal have none.
+    Read from the mu of the degrevlex basis.  A basis made by a saturation's
+    dividing run has none; then one engine run over that reduced basis counts
+    it, stopping each degree once it has found the degree's leads (the
+    engine's quota).  The zero and the unit ideal have no generators.
     """
     _require_homogeneous(ideal)
     if ideal.is_unit():
         return {}
-    return dict(ideal.groebner_basis().mu)
+    gb = ideal.groebner_basis()
+    if gb.mu is not None:
+        return dict(gb.mu)
+    _, mu = _buchberger_dicts([dict(g.packed) for g in gb.elements],
+                              ideal.ring.prime, MonomialOrder(ideal.ring.nvars),
+                              quota=Counter(g.degree for g in gb.elements))
+    return mu
 
 
 def resolution_hilbert_numerator(terms) -> UnivariatePolynomial:

@@ -153,6 +153,8 @@ def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> Polynomial:
 
 def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
     """Ideal of Pfaffians of all principal size x size submatrices."""
+    if size < 0:
+        raise UsageError(f"Pfaffian ideal size must be non-negative, got {size}")
     if size % 2:
         raise UsageError("Pfaffian ideal size must be even")
     if size > matrix.size:

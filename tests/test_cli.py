@@ -15,6 +15,12 @@ def test_schur_dim_cli(capsys):
     assert main(["schur-dim", "--lambda", "2,1", "--n", "-1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "n = -1" in out.err
+    # the empty string is the empty partition; an empty entry is an error
+    assert main(["schur-dim", "--lambda", "", "--n", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["schur-dim", "--lambda", "2,1,", "--n", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "'2,1,'" in out.err
 
 
 def test_verlinde_cli(capsys):
@@ -37,6 +43,11 @@ def test_bott_weight_cli(capsys):
         assert out == {"vanishes": False, "degree": 1,
                        "dominant_weight": [6, 6, 6, 4, 3, 2, 1, 0, -1],
                        "dimension": 13192058880}
+    # an empty entry would silently change GL_N; it is an input error
+    for weight in ("1,,2", "2,1,", ",1"):
+        assert main(["bott", "--type", "A", "--weight", weight]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and repr(weight) in out.err
 
 
 def test_bott_resolution_cli(tmp_path, capsys):

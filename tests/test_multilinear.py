@@ -98,6 +98,8 @@ def test_pfaffian_ideal_counts():
     assert all(g.degree == 2 for g in ideal.generators)
     with pytest.raises(UsageError):
         pfaffian_ideal(m, 3)
+    with pytest.raises(UsageError, match="non-negative, got -2"):
+        pfaffian_ideal(m, -2)
     m4 = m.submatrix((0, 1, 2, 3))
     principal = pfaffian_ideal(m4, 4)
     assert principal.generators == (pfaffian(m4),)

@@ -188,19 +188,21 @@ def test_c3c3c3_report():
 
 def test_c3c3c3_reuses_computed_bases(monkeypatch):
     """Saturations, quotients and constant saturations hand their basis to
-    the ideal they return, so the records do not run the engine on it again."""
+    the ideal they return, so the records do not run the engine on it again.
+    Of the saturations' results only J_visible has its profile read, and
+    only that one takes a run pruned by a lead quota."""
     import theta_loci.groebner as groebner
 
     runs = []
     engine = groebner._buchberger_dicts
 
     def counted(*args, **kwargs):
-        runs.append(len(args[0]))
+        runs.append("quota" in kwargs)
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
-    assert len(runs) == 46
+    assert (len(runs), runs.count(True)) == (34, 1)
 
 
 def test_nongeneric_is_flagged_not_crashed():

@@ -165,8 +165,8 @@ def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
 @given(homogeneous_ideals())
 def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
     """I : z_i^infty for each variable z_i: the engine run that divides as it
-    goes (fresh ideal) and the division of a cached basis under degrevlex
-    with z_i last give the same basis and generator profile as the
+    goes, on a fresh ideal and on one with a basis under degrevlex with z_i
+    last cached, gives the same basis and generator profile as the
     auxiliary-variable method through z_i^2."""
     ring, gens = ring_gens
     n = ring.nvars
