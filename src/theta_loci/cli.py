@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .errors import InputError, UsageError
@@ -21,13 +22,14 @@ from . import vinberg as vinberg_mod
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """The integers of a comma-separated list; an empty entry is an error,
-    and the empty string is the empty list."""
+    """The integers of a comma-separated list, each an optional sign and
+    ASCII digits; an empty entry is an error, and the empty string is the
+    empty list."""
     items = text.replace(" ", "")
-    try:
-        return [int(x) for x in items.split(",")] if items else []
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
+    entries = items.split(",") if items else []
+    if not all(re.fullmatch(r"[+-]?[0-9]+", x) for x in entries):
+        raise InputError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(x) for x in entries]
 
 
 def _cmd_run(args) -> int:

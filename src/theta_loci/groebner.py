@@ -12,6 +12,18 @@ polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
+A run whose inputs are all forms, under an order with no drop block, has
+only forms of known degree to reduce: seeds, S-polynomials and the tails of
+the final interreduction.  A form with at least a quarter of the monomials
+of its degree d, 4 * len(f) >= C(n + d - 1, d), is reduced as one packed
+integer row, one slot per degree-d monomial with the lead in the top slot
+(F4's Macaulay rows, Faugere 1999, packed as in Dumas-Fousse-Salvy 2011).
+A slot is W = bit_length((p - 1) + ncols * (p - 1)^2) bits wide: it starts
+below p and each of at most ncols steps adds at most (p - 1)^2, so it never
+carries into the next.  The row loop pops the same terms in the same order
+and asks find_reducer the same questions as the sparse loop, so it returns
+the same remainder; every other form takes the sparse loop.
+
 A homogeneous degrevlex run whose final leading ideal is known in advance
 can skip work that this knowledge proves redundant (Traverso 1996).  Each
 new degree-d lead is one of that ideal's degree-d minimal generators, so once
@@ -39,12 +51,13 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from operator import le
 
 from .errors import UsageError
-from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _revkey,
-                   _unrev)
+from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _degree,
+                   _revkey, _unrev)
 
 
 class MonomialOrder:
@@ -135,6 +148,10 @@ class _Basis:
         self.alive: list[bool] = []
         # find_reducer's answers while the live leads stay as they are
         self.found: dict[int, int] = {}
+        # the dense path's column maps by degree and packed rows by
+        # (element, shift); an element never changes once added
+        self.columns: dict[int, tuple] = {}
+        self.rows: dict[tuple[int, int], int] = {}
 
     def add(self, d: dict[int, int]) -> int:
         """Add a monic polynomial dict; returns its index."""
@@ -209,6 +226,81 @@ def _normal_form_dict(f: dict[int, int], basis: _Basis) -> dict[int, int]:
     return out
 
 
+def _columns(basis: _Basis, d: int) -> tuple:
+    """(keys, plain packings, {key: slot}, slot width W) of the degree-d
+    monomials, slot 0 the smallest key, so that the top slot is the lead.
+
+    Under an order with no drop block a degree-d key is d * B^n minus its
+    plain packing, so the map is built from the packings alone.
+    """
+    cols = basis.columns.get(d)
+    if cols is None:
+        n, p = basis.order.nvars, basis.p
+        unit = [1 << (_BITS * s) for s in range(n)]
+        pks = sorted((sum(unit[s] for s in c)
+                      for c in combinations_with_replacement(range(n), d)), reverse=True)
+        top = d << (_BITS * n)
+        keys = [top - pk for pk in pks]
+        width = ((p - 1) + len(keys) * (p - 1) ** 2).bit_length()
+        cols = basis.columns[d] = (keys, pks, {k: j for j, k in enumerate(keys)}, width)
+    return cols
+
+
+def _normal_form_dense(f: dict[int, int], basis: _Basis, d: int) -> dict[int, int]:
+    """_normal_form_dict(f, basis) for a degree-d form f, under an order with
+    no drop block, with f packed as one integer row.
+
+    Slot j, W bits wide, holds the coefficient of the j-th smallest degree-d
+    monomial.  A step reads the top nonzero slot mod p, clears it, and, if a
+    basis lead divides that monomial, adds (p - c) times the packed tail of
+    the reducer's multiple, whose slots all lie below.  Slots start in
+    [0, p), and each step adds at most (p - 1)^2 to a slot; every step
+    clears a lower slot than the one before, so there are at most ncols
+    steps and a slot stays at most (p - 1) + ncols * (p - 1)^2, which fits
+    W = bit_length((p - 1) + ncols * (p - 1)^2) bits without a carry into
+    the next slot.  The terms are popped in the same order and find_reducer
+    sees the same basis, so the remainder is the sparse loop's.
+    """
+    keys, pks, col, width = _columns(basis, d)
+    p = basis.p
+    find_reducer = basis.find_reducer
+    lead_key, tail, rows = basis.lead_key, basis.tail, basis.rows
+    r = 0
+    for k, c in f.items():
+        r += (c % p) << (width * col[k])
+    out: dict[int, int] = {}
+    while r:
+        j = (r.bit_length() - 1) // width
+        s = width * j
+        v = r >> s
+        r -= v << s
+        c = v % p
+        if not c:
+            continue
+        i = find_reducer(pks[j])
+        if i < 0:
+            out[keys[j]] = c
+            continue
+        shift = keys[j] - lead_key[i]
+        row = rows.get((i, shift))
+        if row is None:
+            row = rows[i, shift] = sum((tc % p) << (width * col[tk + shift])
+                                       for tk, tc in tail[i])
+        r += (p - c) * row
+    return out
+
+
+def _reduce(f: dict[int, int], basis: _Basis, d: int | None) -> dict[int, int]:
+    """The engine's normal form of f; d is f's degree when f is a form under
+    an order with no drop block, else None.  A form with at least a quarter
+    of its degree's monomials is reduced as a packed row."""
+    # below _MAXEXP every degree-d monomial is one plain() accepts
+    if d is not None and d < _MAXEXP \
+            and 4 * len(f) >= comb(basis.order.nvars + d - 1, d):
+        return _normal_form_dense(f, basis, d)
+    return _normal_form_dict(f, basis)
+
+
 def _monic(d: dict[int, int], p: int) -> dict[int, int]:
     """d scaled so that its coefficient at the largest key is 1."""
     lc = d[max(d)]
@@ -277,6 +369,10 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
+    # every seed, S-polynomial and tail of a run over forms is a form
+    n = order.nvars
+    forms = not order.drop and all(_degree(max(d), n) == _degree(min(d), n)
+                                   for d in inputs if d)
 
     def update(d: dict[int, int]) -> None:
         # Gebauer-Moeller installation of the Buchberger criteria.
@@ -336,14 +432,14 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             nxt += 1
             if left == 0:
                 continue
-            r = _normal_form_dict(f, basis)
+            r = _reduce(f, basis, deg if forms else None)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
             _, lk, i, j = heapq.heappop(pairs)
             if left == 0:
                 continue
-            r = _normal_form_dict(_spoly(basis, i, j, lk), basis)
+            r = _reduce(_spoly(basis, i, j, lk), basis, deg if forms else None)
         if r:
             r = _monic(r, p)
             e = (order.plain(max(r)) >> zshift) & _MASK if divide_last else 0
@@ -366,7 +462,8 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     basis.keep(minimal_idx)
     reduced: list[dict[int, int]] = []
     for i in minimal_idx:
-        d = _normal_form_dict(dict(basis.tail[i]), basis)
+        d = _reduce(dict(basis.tail[i]), basis,
+                    sum(basis.lead_exps[i]) if forms else None)
         d[basis.lead_key[i]] = 1
         reduced.append(d)
     return reduced, None if divided else mu

@@ -18,9 +18,14 @@ def test_schur_dim_cli(capsys):
     # the empty string is the empty partition; an empty entry is an error
     assert main(["schur-dim", "--lambda", "", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "1"
-    assert main(["schur-dim", "--lambda", "2,1,", "--n", "3"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and "'2,1,'" in out.err
+    # an entry is an optional sign and ASCII digits: no digit-group
+    # underscores, no other scripts' digits
+    for lam in ("2,1,", "1_0,2", "\u0663,1"):
+        assert main(["schur-dim", "--lambda", lam, "--n", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and repr(lam) in out.err
+    assert main(["schur-dim", "--lambda", "+2,1", "--n", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "8"
 
 
 def test_verlinde_cli(capsys):
@@ -43,11 +48,14 @@ def test_bott_weight_cli(capsys):
         assert out == {"vanishes": False, "degree": 1,
                        "dominant_weight": [6, 6, 6, 4, 3, 2, 1, 0, -1],
                        "dimension": 13192058880}
-    # an empty entry would silently change GL_N; it is an input error
-    for weight in ("1,,2", "2,1,", ",1"):
+    # an empty entry would silently change GL_N; it is an input error, and so
+    # is an entry that is not an optional sign and ASCII digits
+    for weight in ("1,,2", "2,1,", ",1", "1_0,2", "\u0663,1"):
         assert main(["bott", "--type", "A", "--weight", weight]) == 1
         out = capsys.readouterr()
         assert out.out == "" and repr(weight) in out.err
+    assert main(["bott", "--type", "A", "--weight", "+2,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["dominant_weight"] == [2, 1]
 
 
 def test_bott_resolution_cli(tmp_path, capsys):

@@ -275,18 +275,35 @@ def test_reduction_loop_never_unpacks_a_term(monkeypatch):
     a, b, c, d = ring.gens()
     gens = [a * b - c * c, b ** 3 - 7 * a * c * d, c * d - a * a + 3 * b * d]
     f = a ** 3 * b * d + 5 * b ** 4 * c - c ** 3 * d * d + 2 * a * d
+
+    def unpack(self, key):
+        raise AssertionError("monomial unpacked in the reduction loop")
+
     for order in (MonomialOrder(4), MonomialOrder(4, (0, 2))):
         gb = buchberger_reduced(gens, order).elements
         basis = groebner._Basis(order, ring.prime)
         for g in gb:
             basis.add(groebner._to_dict(g, order))
         expected = normal_form(f, gb, order)
-
-        def unpack(self, key):
-            raise AssertionError("exponent tuple built in the reduction loop")
-
         monkeypatch.setattr(MonomialOrder, "exps", unpack)
         got = groebner._normal_form_dict(groebner._to_dict(f, order), basis)
+        monkeypatch.undo()
+        assert got and groebner._from_dict(got, ring, order) == expected
+
+    # the dense loop, on a form under degrevlex orders: it reads neither
+    # exponents nor plain packings once its degree's column map is built
+    gens = [a * b - c * c, b ** 3 - 7 * a * c * d + d ** 3, c * d - a * a + 3 * b * d]
+    f = a ** 3 * b * d + 5 * b ** 4 * c - c ** 3 * d * d + 2 * a * d ** 4
+    for order in (MonomialOrder(4), MonomialOrder(4, last=1)):
+        gb = buchberger_reduced(gens, order).elements
+        basis = groebner._Basis(order, ring.prime)
+        for g in gb:
+            basis.add(groebner._to_dict(g, order))
+        expected = normal_form(f, gb, order)
+        groebner._columns(basis, 5)
+        monkeypatch.setattr(MonomialOrder, "exps", unpack)
+        monkeypatch.setattr(MonomialOrder, "plain", unpack)
+        got = groebner._normal_form_dense(groebner._to_dict(f, order), basis, 5)
         monkeypatch.undo()
         assert got and groebner._from_dict(got, ring, order) == expected
 

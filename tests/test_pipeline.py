@@ -205,6 +205,29 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     assert (len(runs), runs.count(True)) == (34, 1)
 
 
+def test_dense_rows_serve_only_dense_forms(monkeypatch):
+    """Which normal forms are reduced as packed rows: nearly all of w39's,
+    none of c3c3c3's or the gallery's, whose forms are sparse."""
+    import theta_loci.groebner as groebner
+
+    paths = []
+    for name in ("_normal_form_dense", "_normal_form_dict"):
+        def counted(*args, name=name, loop=getattr(groebner, name)):
+            paths.append(name)
+            return loop(*args)
+        monkeypatch.setattr(groebner, name, counted)
+
+    def split(job):
+        paths.clear()
+        assert job().status == "PASS"
+        return paths.count("_normal_form_dense"), paths.count("_normal_form_dict")
+
+    assert split(lambda: run_case("w39", seed=1)) == (388, 23)
+    assert split(lambda: run_case("c3c3c3", prime=32003, seed=1))[0] == 0
+    for name in GALLERY:
+        assert split(lambda: example_gallery(name))[0] == 0
+
+
 def test_nongeneric_is_flagged_not_crashed():
     # over F_2 this seed gives a degenerate pencil: codim drops to 2
     report = run_case("c5w25", prime=2, seed=6)

@@ -1,11 +1,14 @@
 """Property tests for packed monomial keys, polynomial arithmetic and the
-Groebner engine's Hilbert-driven pruning."""
+Groebner engine's Hilbert-driven pruning and dense rows."""
 
 from collections import Counter
+from itertools import combinations_with_replacement
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import theta_loci.groebner as groebner
 from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
                                  _buchberger_dicts, _saturate_variable,
                                  _to_dict, generator_profile, saturate)
@@ -132,10 +135,10 @@ def test_canonical_form_unique(ring_polys, rng):
 
 
 @st.composite
-def homogeneous_ideals(draw):
-    """Homogeneous generators of degrees 1-3 in 3-4 variables over a small prime."""
+def homogeneous_ideals(draw, primes=(2, 3, 7, 31)):
+    """Homogeneous generators of degrees 1-3 in 3-4 variables over one of primes."""
     nvars = draw(st.integers(3, 4))
-    ring = PolynomialRing(prime=draw(st.sampled_from([2, 3, 7, 31])), nvars=nvars)
+    ring = PolynomialRing(prime=draw(st.sampled_from(primes)), nvars=nvars)
     gens = []
     for _ in range(draw(st.integers(1, 5))):
         deg = draw(st.integers(1, 3))
@@ -181,3 +184,46 @@ def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
         assert divided.groebner_basis().elements == basis
         assert generator_profile(fresh) == generator_profile(divided) \
             == generator_profile(slow)
+
+
+DENSE_PRIMES = (2, 101, 32003, 299999999999999999999987)
+
+
+def _full_forms(p):
+    """In 3 variables over F_p, the quadric and the cubic with coefficient
+    p - 1 at every monomial of their degree: rows that start with every
+    slot at its largest value."""
+    ring = PolynomialRing(prime=p, nvars=3)
+    return ring, [ring.from_exponent_dict({
+        tuple(c.count(i) for i in range(3)): p - 1
+        for c in combinations_with_replacement(range(3), d)}) for d in (2, 3)]
+
+
+@settings(deadline=None)
+@example(_full_forms(2))
+@example(_full_forms(101))
+@example(_full_forms(32003))
+@example(_full_forms(299999999999999999999987))
+@given(homogeneous_ideals(primes=DENSE_PRIMES))
+def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
+    """Every normal form of a run over forms, in a plain, a dividing and a
+    quota run under degrevlex with z_n or z_1 last, is the same reduced as a
+    packed row as by the sparse loop, whatever its density."""
+    ring, gens = ring_gens
+    seen = []
+
+    def both(f, basis, d):
+        assert d is not None  # every input is a form
+        sparse = groebner._normal_form_dict(f, basis)
+        assert groebner._normal_form_dense(f, basis, d) == sparse
+        seen.append(d)
+        return sparse
+
+    for order in (MonomialOrder(ring.nvars), MonomialOrder(ring.nvars, last=0)):
+        dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
+        with mock.patch.object(groebner, "_reduce", both):
+            basis, _ = _buchberger_dicts(dicts, ring.prime, order)
+            quota = Counter(sum(order.exps(max(d))) for d in basis)
+            _buchberger_dicts(basis, ring.prime, order, quota=quota)
+            _buchberger_dicts(dicts, ring.prime, order, divide_last=True)
+    assert seen
