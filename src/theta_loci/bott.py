@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import comb, fsum, pi, sin
+from itertools import combinations, permutations, product
+from math import comb, log2
+from operator import add, mul
 
 from .errors import UsageError
 
@@ -91,9 +92,13 @@ class Partition:
 def schur_dim(lam, n: int) -> int:
     """Rank of the weight-lam Schur functor on an n-dimensional space.
 
-    Hook content product; weakly decreasing integer weights of full length n
-    are shifted by a determinant power first (which leaves the rank fixed),
-    and partitions with more than n rows give 0.
+    Weyl's product over the l nonzero rows (0-based i, j):
+    prod_{i<j<l} (lam_i - lam_j + j - i) / (j - i)
+    * prod_{i<l} C(lam_i + n - 1 - i, n - l) / C(n - 1 - i, n - l),
+    the second product being the factors with lam_j = 0 for j >= l.  Weakly
+    decreasing integer weights of full length n are shifted by a determinant
+    power first (which leaves the rank fixed), and partitions with more than
+    n rows give 0.
     """
     lam = tuple(int(x) for x in lam)
     if n < 0:
@@ -109,10 +114,13 @@ def schur_dim(lam, n: int) -> int:
             raise UsageError("negative parts require a full-length weight")
         shift = lam[-1]
         lam = tuple(x - shift for x in lam)
-    part = Partition(lam)
+    lam = Partition(lam).parts
+    l = len(lam)
     out = Fraction(1)
-    for cell in part.cells():
-        out *= Fraction(n + part.content(cell), part.hook(cell))
+    for i in range(l):
+        out *= Fraction(comb(lam[i] + n - 1 - i, n - l), comb(n - 1 - i, n - l))
+        for j in range(i + 1, l):
+            out *= Fraction(lam[i] - lam[j] + j - i, j - i)
     assert out.denominator == 1
     return int(out)
 
@@ -274,9 +282,8 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
         columns_signed.append(expanded)
 
     matrix_cols = []
-    for src_index in _product_indices([len(c) for c in cols]):
+    for chosen in product(*cols):
         vec: dict[tuple, int] = {}
-        chosen = [cols[j][src_index[j]] for j in range(len(cols))]
         for filled, sign in _expand_columns(columns_signed, chosen):
             key = row_monomials(filled)
             vec[key] = vec.get(key, 0) + sign
@@ -288,15 +295,6 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
         matrix_cols.append(col)
 
     return _integer_rank(matrix_cols)
-
-
-def _product_indices(sizes):
-    if not sizes:
-        yield ()
-        return
-    for rest in _product_indices(sizes[1:]):
-        for i in range(sizes[0]):
-            yield (i,) + rest
 
 
 def _expand_columns(columns_signed, chosen):
@@ -445,17 +443,48 @@ def cohomology_of_resolution(terms, space: Space) -> CohomologyTable:
 # Verlinde numbers
 
 
-def verlinde(g: int, k: int) -> int:
-    """Rank-2 Verlinde number ((k+2)/2)^{g-1} sum_j sin(pi j/(k+2))^{2-2g}.
+_VERLINDE_MAX_LEVEL = 40
+_VERLINDE_MAX_BITS = 4096
 
-    Evaluated in double precision and rounded, with a 1e-6 guard on the
-    rounding error.
+
+def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def verlinde(g: int, k: int) -> int:
+    """Rank-2 Verlinde number at genus g and level k, in integers.
+
+    V = Tr(H^{g-1}) with H = sum_a N_a^2 over the SU(2)_k fusion matrices:
+    N_a[b][c] = 1 iff |a - b| <= c <= min(a + b, 2k - a - b) and a + b + c
+    is even, for a, b, c in 0..k.  The N_a commute and have eigenvalues
+    S_aj / S_0j, so H has eigenvalues 1 / S_0j^2 and V is the Verlinde sum
+    of S_0j^{2-2g} over j.
+
+    Each 1 / S_0j^2 = (k + 2) / (2 sin^2(pi (j + 1) / (k + 2))) is at most
+    ((k + 2) / 2)^3, as sin x >= 2x / pi on [0, pi / 2], so
+    V <= (k + 1) ((k + 2) / 2)^{3(g-1)}.  Levels above _VERLINDE_MAX_LEVEL
+    (40), and g and k for which that bound exceeds 2^_VERLINDE_MAX_BITS
+    (2^4096), are usage errors, decided before any matrix is built.
     """
     if g < 2 or k < 1:
         raise UsageError("need genus >= 2 and level >= 1")
-    raw = ((k + 2) / 2) ** (g - 1) * fsum(
-        sin(pi * j / (k + 2)) ** (2 - 2 * g) for j in range(1, k + 2))
-    value = round(raw)
-    if abs(raw - value) > 1e-6:
-        raise UsageError(f"Verlinde sum {raw!r} is not close enough to an integer")
-    return int(value)
+    if k > _VERLINDE_MAX_LEVEL:
+        raise UsageError(f"level {k} is above the largest level, {_VERLINDE_MAX_LEVEL}")
+    if log2(k + 1) + 3 * (g - 1) * log2((k + 2) / 2) > _VERLINDE_MAX_BITS:
+        raise UsageError(f"the Verlinde number at genus {g} and level {k} may "
+                         f"exceed 2^{_VERLINDE_MAX_BITS}")
+    levels = range(k + 1)
+    h = [[0] * (k + 1) for _ in levels]
+    for a in levels:
+        n_a = [[int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0)
+                for c in levels] for b in levels]
+        h = [list(map(add, x, y)) for x, y in zip(h, _matmul(n_a, n_a))]
+    power, e = None, g - 1
+    while e:
+        if e & 1:
+            power = h if power is None else _matmul(power, h)
+        e >>= 1
+        if e:
+            h = _matmul(h, h)
+    return sum(power[i][i] for i in levels)

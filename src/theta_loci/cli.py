@@ -93,7 +93,10 @@ def _cmd_gb(args) -> int:
             raise InputError(f"--saturate polynomial invalid: {exc}") from exc
         ideal = saturate(ideal, f)
     if args.eliminate:
-        names = [v for v in args.eliminate.replace(" ", "").split(",") if v]
+        names = args.eliminate.replace(" ", "").split(",")
+        if not all(names):
+            raise InputError(f"--eliminate expects a comma-separated variable list, "
+                             f"got {args.eliminate!r}")
         ideal = eliminate(ideal, names)
     gb = ideal.groebner_basis()
     out = {"basis": [str(g) for g in gb.elements]}
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None, help="support type, e.g. 3A1")
     p.set_defaults(func=_cmd_vinberg)
 
-    p = sub.add_parser("schur-dim", help="hook content dimension")
+    p = sub.add_parser("schur-dim", help="Schur module dimension (Weyl's formula)")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_schur_dim)

@@ -42,7 +42,9 @@ form is divisible by z_i exactly when its lead is (Bayer-Stillman).  The
 engine divides each new element by the power of z_i in its lead as it finds
 it, so the basis of the raw ideal, with its high-degree part from the
 component on z_i = 0, is never built.  The two paths agree and both are
-tested.
+tested.  Saturation by an ideal J has one path for every I and J:
+I : J^infty is the intersection of the I : g^infty over J's generators g,
+so a J of variables takes the dividing run once per variable.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations_with_replacement
 from math import comb
 from operator import le
@@ -700,43 +703,48 @@ def _variable_index(f: Polynomial) -> int | None:
     return (_unrev(f.packed[0][0], f.ring.nvars).bit_length() - 1) // _BITS
 
 
+def _contract_t(ring: PolynomialRing, gens) -> Ideal:
+    """The ideal gens(t, up) generates in ring[t], contracted to ring; t is a
+    new last variable and up lifts a polynomial of ring into ring[t]."""
+    big = _extend_ring(ring, "t")
+    up = partial(_lift, target=big)
+    kept = eliminate(Ideal(big, gens(big.variable(big.nvars - 1), up)),
+                     [big.nvars - 1]).generators
+    return Ideal(ring, [_lift(g, ring) for g in kept])
+
+
+def _meet(parts) -> Ideal:
+    """The intersection of a nonempty iterable of ideals, with its degrevlex
+    basis cached on it."""
+    out = reduce(ideal_intersection, parts)
+    return _keeping_basis(out.groebner_basis(), out)
+
+
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """I : f^infty.  Auxiliary-variable method; fast path for plain variables."""
+    """I : f^infty = (I + (t*f - 1)) cap R; fast path for plain variables."""
     if f.is_zero():
         raise UsageError("cannot saturate by the zero polynomial")
     ring = ideal.ring
     if f.ring != ring:
         raise UsageError("saturating polynomial from a different ring")
-    if f.is_constant():
-        return _keeping_basis(ideal.groebner_basis(), ideal)
     if ideal.is_zero():
         return Ideal(ring, ())
     # fast path: f is a single variable and I is homogeneous
     idx = _variable_index(f)
     if idx is not None and ideal.homogeneous:
         return _saturate_variable(ideal, idx)
-    big = _extend_ring(ring, "t")
-    t = big.variable(big.nvars - 1)
-    gens = [_lift(g, big) for g in ideal.generators]
-    gens.append(t * _lift(f, big) - 1)
-    kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
-    return Ideal(ring, [_lift(g, ring) for g in kept])
+    return _contract_t(ring, lambda t, up: [up(g) for g in ideal.generators]
+                       + [t * up(f) - 1])
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    """I cap J via the t-homogenization trick (t*I + (1-t)*J, eliminate t)."""
+    """I cap J = (t*I + (1 - t)*J) cap R."""
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
-    ring = a.ring
     if a.is_zero() or b.is_zero():
-        return Ideal(ring, ())
-    big = _extend_ring(ring, "t")
-    t = big.variable(big.nvars - 1)
-    one_minus_t = big.one() - t
-    gens = [t * _lift(g, big) for g in a.generators]
-    gens += [one_minus_t * _lift(g, big) for g in b.generators]
-    kept = eliminate(Ideal(big, gens), [big.nvars - 1]).generators
-    return Ideal(ring, [_lift(g, ring) for g in kept])
+        return Ideal(a.ring, ())
+    return _contract_t(a.ring, lambda t, up: [t * up(g) for g in a.generators]
+                       + [(1 - t) * up(g) for g in b.generators])
 
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -758,50 +766,32 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
-    """I : J, as the intersection of I : g over the generators g of J."""
+    """I : J = cap_g (I cap (g)) / g over the generators g of J."""
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
     ring = a.ring
     if b.is_zero():
         return Ideal(ring, (ring.one(),))
-    out: Ideal | None = None
-    for g in b.generators:
-        if g.is_constant():
-            part = _keeping_basis(a.groebner_basis(), a)
-        else:
-            meet = ideal_intersection(a, Ideal(ring, (g,)))
-            part = Ideal(ring, [_exact_divide(h, g) for h in meet.generators])
-        out = part if out is None else ideal_intersection(out, part)
-    assert out is not None
-    return _keeping_basis(out.groebner_basis(), out)
+
+    def part(g: Polynomial) -> Ideal:
+        meet = ideal_intersection(a, Ideal(ring, (g,)))
+        return Ideal(ring, [_exact_divide(h, g) for h in meet.generators])
+
+    return _meet(map(part, b.generators))
 
 
 def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
-    """I : J^infty, as a stabilized iterated quotient.
+    """I : J^infty = cap_g I : g^infty over the generators g of J.
 
-    When J is generated by plain variables and I is homogeneous, the
-    saturation equals the intersection of the single-variable saturations
-    (pigeonhole on monomials of J^N), which is much cheaper.
+    If f*g^N lies in I for each of J's r generators g, then so does f times
+    every product of r(N - 1) + 1 generators, in which some g occurs N times
+    (pigeonhole); conversely f*J^N <= I puts every f*g^N in I.
     """
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
-    ring = a.ring
     if b.is_zero():
-        return Ideal(ring, (ring.one(),))
-    var_idx = [_variable_index(g) for g in b.generators]
-    if None not in var_idx and a.homogeneous:
-        out: Ideal | None = None
-        for i in var_idx:
-            part = saturate(a, ring.variable(i))
-            out = part if out is None else ideal_intersection(out, part)
-        assert out is not None
-        return _keeping_basis(out.groebner_basis(), out)
-    cur = _keeping_basis(a.groebner_basis(), a)
-    while True:
-        nxt = ideal_quotient(cur, b)
-        if nxt.groebner_basis().elements == cur.groebner_basis().elements:
-            return _keeping_basis(cur.groebner_basis(), cur)
-        cur = nxt
+        return Ideal(a.ring, (a.ring.one(),))
+    return _meet(saturate(a, g) for g in b.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ ranks of the infinitesimal gl_7 action, computed over a large prime field.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 from .errors import UsageError
-from .multilinear import AlternatingVector
+from .multilinear import AlternatingVector, SplitMix64
 
 RANK_PRIME = (1 << 31) - 1  # Mersenne prime, comfortably above 1e9
 
@@ -41,7 +43,8 @@ def triple_pairing(s, t) -> int:
     return len(set(s) & set(t)) - 1
 
 
-def _perm_triple_table():
+@cache
+def _perm_table():
     """For each of the 5040 permutations, the induced map on triple indices."""
     table = []
     for sigma in permutations(range(1, 8)):
@@ -50,16 +53,6 @@ def _perm_triple_table():
             row[i] = _TRIPLE_INDEX[tuple(sorted(sigma[x - 1] for x in t))]
         table.append(tuple(row))
     return tuple(table)
-
-
-_PERM_TABLE: tuple[tuple[int, ...], ...] | None = None
-
-
-def _perm_table():
-    global _PERM_TABLE
-    if _PERM_TABLE is None:
-        _PERM_TABLE = _perm_triple_table()
-    return _PERM_TABLE
 
 
 @dataclass(frozen=True)
@@ -168,16 +161,12 @@ def _gram_classes(target_type: str):
 
 def _generic_dimension(config: SupportConfig) -> int:
     """Orbit dimension of a deterministic generic element of the span."""
-    from .multilinear import SplitMix64
-
     rng = SplitMix64(0x5EED_0001)
     coeffs = {t: 1 + rng.next64() % (RANK_PRIME - 1) for t in config.triples()}
     return orbit_dimension(AlternatingVector(7, 3, RANK_PRIME, coeffs))
 
 
-_GENUINE: dict[str, list[SupportConfig]] | None = None
-
-
+@cache
 def _genuine_classes() -> dict[str, list[SupportConfig]]:
     """Gram classes of every type, filtered by the dimension certificate.
 
@@ -189,9 +178,6 @@ def _genuine_classes() -> dict[str, list[SupportConfig]]:
     distinct, whose generic element lies in the dimension-26 orbit already
     produced by A_2.
     """
-    global _GENUINE
-    if _GENUINE is not None:
-        return _GENUINE
     order = sorted(SUPPORT_TYPES, key=lambda t: sum(_TYPE_SHAPE[t]) + _TYPE_SHAPE[t][0])
     kept: dict[str, list[SupportConfig]] = {}
     dims_by_roots: list[tuple[int, int]] = []  # (root count, dimension)
@@ -204,7 +190,6 @@ def _genuine_classes() -> dict[str, list[SupportConfig]]:
                 continue
             kept[typ].append(config)
             dims_by_roots.append((n_roots, dim))
-    _GENUINE = kept
     return kept
 
 
@@ -359,8 +344,6 @@ def orbit_table():
 
 def parse_bracket_terms(text: str, prime: int = RANK_PRIME) -> AlternatingVector:
     """Parse `[1,2,3]+[4,5,6]` (optional integer multipliers, `-` allowed)."""
-    import re
-
     pattern = re.compile(
         r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?\[\s*(\d+)\s*,?\s*(\d+)\s*,?\s*(\d+)\s*\]")
     pos = 0

@@ -5,10 +5,15 @@ of positive roots it sends negative.  hyperoctahedral_word_lengths finds the
 minimal word lengths by breadth-first search over the hyperoctahedral group,
 and window_length reads the root count off a permutation in window notation,
 so the tests can hold the calculator's signed_sort_length against both.
+
+saturate_by_iterated_quotient computes I : J^infty as the first of
+I : J, I : J^2, ... that the next quotient leaves as it is, so the tests can
+hold saturate_by_ideal's intersection of per-generator saturations against it.
 """
 
 from theta_loci.bott import _signed_length
 from theta_loci.errors import UsageError
+from theta_loci.groebner import Ideal, ideal_quotient
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:
@@ -51,3 +56,14 @@ def window_length(w: tuple[int, ...]) -> int:
         raise UsageError("not a permutation window")
     sgn = [1 if w[j] > 0 else -1 for j in range(n)]
     return _signed_length(pos, sgn)
+
+
+def saturate_by_iterated_quotient(a: Ideal, b: Ideal) -> Ideal:
+    """I : J^infty as a stabilized iterated quotient: I : J^(k+1) is
+    (I : J^k) : J, and the chain stops once a quotient changes nothing."""
+    cur = a
+    while True:
+        nxt = ideal_quotient(cur, b)
+        if nxt == cur:
+            return cur
+        cur = nxt

@@ -144,7 +144,7 @@ def test_criterion_8_verlinde():
 
 def test_criterion_9_property_suites():
     """Pfaffian^2 = det; type C lengths vs brute force; Schur construction vs
-    hook content; Buchberger S-pair criterion on 50 random small ideals."""
+    Weyl's dimension formula; Buchberger S-pair criterion on 50 random small ideals."""
     t0 = time.perf_counter()
     ok = True
 
@@ -170,7 +170,7 @@ def test_criterion_9_property_suites():
         dist = hyperoctahedral_word_lengths(n)
         ok &= all(window_length(w) == d for w, d in dist.items())
 
-    # explicit Schur construction vs hook content, all partitions in a 3x3 box
+    # explicit Schur construction vs Weyl's formula, all partitions in a 3x3 box
     for n in (1, 2, 3):
         for l1 in range(4):
             for l2 in range(l1 + 1):

@@ -1,7 +1,9 @@
 """Dotted action, dimension formulas, resolution cohomology, Verlinde."""
 
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+from math import comb
 
 import pytest
 
@@ -177,8 +179,28 @@ def test_schur_dims():
             fn(lam, n)
 
 
+def test_schur_dim_weyl_formula():
+    """Weyl's product for long rows and large n, and the hook content
+    product for every partition with parts <= 5 and n <= 6."""
+    assert schur_dim((10 ** 8,), 3) == 5000000150000001
+    n = 10 ** 9
+    assert schur_dim((3, 2), n) == n * n * (n + 1) * (n + 2) * (n - 1) // 24
+
+    def hook_content(lam, n):
+        part = Partition(lam)
+        out = Fraction(1)
+        for cell in part.cells():
+            out *= Fraction(n + part.content(cell), part.hook(cell))
+        return out
+
+    for n in range(7):
+        for rows in range(7):
+            for lam in combinations_with_replacement(range(5, 0, -1), rows):
+                assert schur_dim(lam, n) == hook_content(lam, n), (lam, n)
+
+
 def test_schur_dim_counts_ssyt():
-    """Hook content equals a brute-force semistandard tableau count."""
+    """schur_dim equals a brute-force semistandard tableau count."""
     from itertools import product
 
     def ssyt_count(lam, n):
@@ -320,7 +342,26 @@ def test_verlinde_values():
     # 2^g anchor holds for higher genus at level 1
     assert verlinde(4, 1) == 16
     assert verlinde(5, 1) == 32
+    # exact where double precision rounded wrongly or missed an integer
+    assert verlinde(53, 1) == 2 ** 53
+    assert verlinde(20, 3) == 42813440000000000
+    assert verlinde(7, 6) == 831000576
+    assert verlinde(7, 7) == 6485090688
     with pytest.raises(UsageError):
         verlinde(1, 1)
     with pytest.raises(UsageError):
         verlinde(2, 0)
+
+
+def test_verlinde_size_bounds():
+    """Both sides of the level bound (40) and of the answer bound
+    (k + 1) ((k + 2) / 2)^{3(g-1)} <= 2^4096: at level 1 the bound is
+    2 * 1.5^{3(g-1)}, which passes 2^4096 between g = 2334 and 2335."""
+    assert verlinde(2, 40) == comb(43, 3)  # genus 2: C(k + 3, 3)
+    with pytest.raises(UsageError, match="level 41"):
+        verlinde(2, 41)
+    assert verlinde(2334, 1) == 2 ** 2334
+    with pytest.raises(UsageError, match="2\\^4096"):
+        verlinde(2335, 1)
+    with pytest.raises(UsageError, match="2\\^4096"):
+        verlinde(10 ** 30, 1)

@@ -31,6 +31,10 @@ def test_schur_dim_cli(capsys):
 def test_verlinde_cli(capsys):
     assert main(["verlinde", "--g", "2", "--k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+    # too large an answer is a usage error, not a traceback
+    assert main(["verlinde", "--g", "2000", "--k", "5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "2^4096" in out.err
 
 
 def test_bott_weight_cli(capsys):
@@ -147,6 +151,11 @@ def test_gb_cli(tmp_path, capsys):
     assert main(["gb", str(path), "--eliminate", "t"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["basis"] == ["x^2 + 100*y"]
+    # an empty entry is an error naming the option, not a dropped entry
+    for names in (",,,", "t,", "t,,x", " "):
+        assert main(["gb", str(path), "--eliminate", names]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "--eliminate" in out.err and repr(names) in out.err
 
 
 def test_gb_cli_malformed_input(tmp_path, capsys):

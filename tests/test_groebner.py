@@ -257,8 +257,8 @@ def test_quotient_vs_saturation(rxyz):
 
 
 def test_saturate_by_ideal_general_path(rxyz):
-    # generators that are not plain variables exercise iterated quotients;
-    # I = (x+y) * <z^2, (x+y)y> needs two quotient rounds to stabilize
+    # a generator that is not a plain variable takes the auxiliary-variable
+    # saturation; I = (x+y) * <z^2, (x+y)y> is cleared only by (x+y)^2
     x, y, z = rxyz.gens()
     ideal = Ideal(rxyz, [(x + y) * z * z, (x + y) * (x + y) * y])
     got = saturate_by_ideal(ideal, Ideal(rxyz, [x + y]))

@@ -187,8 +187,9 @@ def test_c3c3c3_report():
 
 
 def test_c3c3c3_reuses_computed_bases(monkeypatch):
-    """Saturations, quotients and constant saturations hand their basis to
-    the ideal they return, so the records do not run the engine on it again.
+    """Saturations and the intersections that combine them hand their
+    basis to the ideal they return, so the records do not run the engine on
+    it again.
     Of the saturations' results only J_visible has its profile read, and
     only that one takes a run pruned by a lead quota."""
     import theta_loci.groebner as groebner

@@ -1,5 +1,6 @@
 """Property tests for packed monomial keys, polynomial arithmetic and the
-Groebner engine's Hilbert-driven pruning and dense rows."""
+Groebner engine's Hilbert-driven pruning, dense rows and saturation by an
+ideal."""
 
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 import theta_loci.groebner as groebner
 from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
                                  _buchberger_dicts, _saturate_variable,
-                                 _to_dict, generator_profile, saturate)
+                                 _to_dict, generator_profile, saturate,
+                                 saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
+
+from oracles import saturate_by_iterated_quotient
 
 NVARS = 4
 # sums of two exponents drawn here stay inside the packed range
@@ -227,3 +231,49 @@ def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
             _buchberger_dicts(basis, ring.prime, order, quota=quota)
             _buchberger_dicts(dicts, ring.prime, order, divide_last=True)
     assert seen
+
+
+R3 = PolynomialRing(prime=101, variables=("x", "y", "z"))
+X, Y, Z = R3.gens()
+# exponents of the monomials of degree 0, 1 and 2 in x, y, z
+MONOMIALS = {d: [tuple(c.count(i) for i in range(3))
+                  for c in combinations_with_replacement(range(3), d)]
+             for d in range(3)}
+
+
+@st.composite
+def small_ideals(draw):
+    """1-3 generators in x, y, z over F_101: all forms of degree 1-2, or all
+    polynomials of degree at most 2."""
+    homogeneous = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if homogeneous:
+            monomials = MONOMIALS[draw(st.integers(1, 2))]
+        else:
+            monomials = MONOMIALS[0] + MONOMIALS[1] + MONOMIALS[2]
+        gens.append(R3.from_exponent_dict(draw(st.dictionaries(
+            st.sampled_from(monomials), st.integers(1, 100),
+            min_size=1, max_size=4))))
+    return gens
+
+
+colon_generators = st.one_of(
+    st.sampled_from([X, Y, Z]),
+    st.tuples(*[st.integers(0, 100)] * 3).filter(any).map(
+        lambda c: c[0] * X + c[1] * Y + c[2] * Z),
+    st.sampled_from([X * Y, Y * Z, X * Z, X * X]),
+    st.integers(1, 100).map(R3.constant))
+
+
+@settings(deadline=None)
+@example([Z * X, Z * (Y + Z)], [X, Y + Z])
+@example([(X + Y) * Z * Z, (X + Y) * (X + Y) * Y], [X + Y])
+@given(small_ideals(), st.lists(colon_generators, min_size=1, max_size=2))
+def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon):
+    """I : J^infty as the intersection of the per-generator saturations
+    equals the first stable I : J^k, for homogeneous and inhomogeneous I and
+    J generated by variables, linear forms, products and constants."""
+    got = saturate_by_ideal(Ideal(R3, gens), Ideal(R3, colon))
+    want = saturate_by_iterated_quotient(Ideal(R3, gens), Ideal(R3, colon))
+    assert got.groebner_basis().elements == want.groebner_basis().elements
