@@ -21,13 +21,24 @@ from .poly import PolynomialRing
 from . import vinberg as vinberg_mod
 
 
+# an integer on the command line: an optional sign and ASCII digits, so no
+# digit-group underscores or other scripts' digits, which int() would take
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """An integer option's value (argparse type)."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> list[int]:
-    """The integers of a comma-separated list, each an optional sign and
-    ASCII digits; an empty entry is an error, and the empty string is the
-    empty list."""
+    """The integers of a comma-separated list; an empty entry is an error,
+    and the empty string is the empty list."""
     items = text.replace(" ", "")
     entries = items.split(",") if items else []
-    if not all(re.fullmatch(r"[+-]?[0-9]+", x) for x in entries):
+    if not all(_INTEGER.fullmatch(x) for x in entries):
         raise InputError(f"expected a comma-separated integer list, got {text!r}")
     return [int(x) for x in entries]
 
@@ -231,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a degeneracy-locus case")
     p.add_argument("--case", required=True, choices=CASES)
-    p.add_argument("--prime", type=int, default=101)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chart", type=int, default=None,
+    p.add_argument("--prime", type=_parse_int, default=101)
+    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--chart", type=_parse_int, default=None,
                    help="saturation coordinate (default: the last one)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -241,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="run a singular-quintic gallery example")
     p.add_argument("--name", required=True, choices=GALLERY)
-    p.add_argument("--prime", type=int, default=101)
+    p.add_argument("--prime", type=_parse_int, default=101)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_example)
 
@@ -270,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur-dim", help="Schur module dimension (Weyl's formula)")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_schur_dim)
 
     p = sub.add_parser("verlinde", help="rank-2 Verlinde number")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--g", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_verlinde)
     return parser
 

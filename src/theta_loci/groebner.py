@@ -44,7 +44,13 @@ it, so the basis of the raw ideal, with its high-degree part from the
 component on z_i = 0, is never built.  The two paths agree and both are
 tested.  Saturation by an ideal J has one path for every I and J:
 I : J^infty is the intersection of the I : g^infty over J's generators g,
-so a J of variables takes the dividing run once per variable.
+so a J of variables takes the dividing run once per variable.  Those
+saturations often contain one another, so an intersection first asks
+whether one ideal lies in the other: I cap J is I when I <= J and J when
+J <= I.  It decides that only by reducing one ideal's generators against a
+basis the other already carries under degrevlex with some z_i last, so the
+test starts no engine run; without such a basis, or when neither ideal
+contains the other, the intersection takes the t-elimination.
 """
 
 from __future__ import annotations
@@ -737,12 +743,39 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
                        + [t * up(f) - 1])
 
 
+def _inside(a: Ideal, b: Ideal) -> bool:
+    """Is a <= b, as read from a basis already cached on b under degrevlex
+    with some z_i last?  False when b has no such basis: the test makes no
+    engine run."""
+    n, p = b.ring.nvars, b.ring.prime
+    for i in range(n):
+        order = MonomialOrder(n, last=i)
+        gb = b._gb_cache.get(order.descriptor)
+        if gb is not None:
+            basis = _Basis(order, p)
+            for g in gb.elements:
+                basis.add(_to_dict(g, order))
+            return not any(_reduce(_to_dict(g, order), basis, None)
+                           for g in a.generators)
+    return False
+
+
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    """I cap J = (t*I + (1 - t)*J) cap R."""
+    """I cap J = (t*I + (1 - t)*J) cap R.
+
+    If I <= J the answer is I, and if J <= I it is J.  Containment is read
+    only from a basis one of them already carries under degrevlex with some
+    z_i last; when neither carries one, or neither contains the other, the
+    t-elimination runs.
+    """
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
     if a.is_zero() or b.is_zero():
         return Ideal(a.ring, ())
+    if _inside(a, b):
+        return a
+    if _inside(b, a):
+        return b
     return _contract_t(a.ring, lambda t, up: [t * up(g) for g in a.generators]
                        + [(1 - t) * up(g) for g in b.generators])
 

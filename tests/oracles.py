@@ -9,11 +9,13 @@ so the tests can hold the calculator's signed_sort_length against both.
 saturate_by_iterated_quotient computes I : J^infty as the first of
 I : J, I : J^2, ... that the next quotient leaves as it is, so the tests can
 hold saturate_by_ideal's intersection of per-generator saturations against it.
+intersection_by_elimination always takes the t-elimination, so the tests can
+hold ideal_intersection's containment shortcut against it.
 """
 
 from theta_loci.bott import _signed_length
 from theta_loci.errors import UsageError
-from theta_loci.groebner import Ideal, ideal_quotient
+from theta_loci.groebner import Ideal, _contract_t, ideal_quotient
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:
@@ -67,3 +69,9 @@ def saturate_by_iterated_quotient(a: Ideal, b: Ideal) -> Ideal:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def intersection_by_elimination(a: Ideal, b: Ideal) -> Ideal:
+    """I cap J = (t*I + (1 - t)*J) cap R, eliminating t."""
+    return _contract_t(a.ring, lambda t, up: [t * up(g) for g in a.generators]
+                       + [(1 - t) * up(g) for g in b.generators])

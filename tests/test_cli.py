@@ -5,8 +5,18 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import theta_loci
 from theta_loci.cli import main
+
+
+def _refused(argv, value, capsys):
+    """argparse refuses argv with a non-zero exit, naming value."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code != 0 and out.out == "" and repr(value) in out.err
 
 
 def test_schur_dim_cli(capsys):
@@ -26,11 +36,17 @@ def test_schur_dim_cli(capsys):
         assert out.out == "" and repr(lam) in out.err
     assert main(["schur-dim", "--lambda", "+2,1", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+    # integer options follow the same rule: int() would read n = 3 here
+    _refused(["schur-dim", "--lambda", "2,1", "--n", "\u0663"], "\u0663", capsys)
+    assert main(["schur-dim", "--lambda", "2,1", "--n", "+3"]) == 0
+    assert capsys.readouterr().out.strip() == "8"
 
 
 def test_verlinde_cli(capsys):
     assert main(["verlinde", "--g", "2", "--k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+    # int() would read g = 10 and print 1024
+    _refused(["verlinde", "--g", "1_0", "--k", "1"], "1_0", capsys)
     # too large an answer is a usage error, not a traceback
     assert main(["verlinde", "--g", "2000", "--k", "5"]) == 1
     out = capsys.readouterr()
@@ -202,6 +218,8 @@ def test_run_cli_exit_codes(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["status"] == "PASS"
     assert payload["case"] == "c5w25"
+    # int() would read seed 1
+    _refused(["run", "--case", "c5w25", "--seed", "\u0661"], "\u0661", capsys)
 
 
 def test_run_cli_nongeneric_exit_2(capsys):

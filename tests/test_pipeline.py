@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from theta_loci.errors import UsageError
-from theta_loci.groebner import Ideal
-from theta_loci.pipeline import (GALLERY, example_gallery, generator_profile,
-                                 report_emit, run_case)
+from theta_loci.groebner import Ideal, hilbert
+from theta_loci.pipeline import (GALLERY, _is_intersection, example_gallery,
+                                 generator_profile, report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import _rank_mod_p
 
@@ -191,19 +191,34 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     basis to the ideal they return, so the records do not run the engine on
     it again.
     Of the saturations' results only J_visible has its profile read, and
-    only that one takes a run pruned by a lead quota."""
+    only that one takes a run pruned by a lead quota.
+    The saturations met contain one another, which their cached bases show,
+    and the recombination is certified by Hilbert series, so no run takes a
+    block elimination order."""
     import theta_loci.groebner as groebner
 
     runs = []
     engine = groebner._buchberger_dicts
 
-    def counted(*args, **kwargs):
-        runs.append("quota" in kwargs)
-        return engine(*args, **kwargs)
+    def counted(inputs, p, order, **kwargs):
+        runs.append(("quota" in kwargs, order.descriptor))
+        return engine(inputs, p, order, **kwargs)
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
-    assert (len(runs), runs.count(True)) == (34, 1)
+    assert (len(runs), sum(quota for quota, _ in runs)) == (20, 1)
+    assert [d for _, d in runs if d.startswith("eliminate")] == []
+
+
+def test_recombination_certificate_sees_a_smaller_ideal():
+    """N(J) = N(A) + N(B) - N(A + B) holds for J = A cap B and fails for a J
+    strictly inside it: A = (x), B = (y), A cap B = (xy), J = (x^2 y, x y^2)."""
+    ring = PolynomialRing(prime=101, variables=("x", "y", "z"))
+    x, y, _ = ring.gens()
+    a, b = Ideal(ring, [x]), Ideal(ring, [y])
+    hd = [hilbert(i) for i in (a, b, Ideal(ring, [x, y]))]
+    assert _is_intersection(hilbert(Ideal(ring, [x * y])), *hd)
+    assert not _is_intersection(hilbert(Ideal(ring, [x * x * y, x * y * y])), *hd)
 
 
 def test_dense_rows_serve_only_dense_forms(monkeypatch):

@@ -1,6 +1,6 @@
 """Property tests for packed monomial keys, polynomial arithmetic and the
-Groebner engine's Hilbert-driven pruning, dense rows and saturation by an
-ideal."""
+Groebner engine's Hilbert-driven pruning, dense rows, saturation by an
+ideal and the intersection's containment shortcut."""
 
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import theta_loci.groebner as groebner
 from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
                                  _buchberger_dicts, _saturate_variable,
-                                 _to_dict, generator_profile, saturate,
+                                 _to_dict, generator_profile,
+                                 ideal_intersection, saturate,
                                  saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
 
-from oracles import saturate_by_iterated_quotient
+from oracles import intersection_by_elimination, saturate_by_iterated_quotient
 
 NVARS = 4
 # sums of two exponents drawn here stay inside the packed range
@@ -188,6 +189,60 @@ def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
         assert divided.groebner_basis().elements == basis
         assert generator_profile(fresh) == generator_profile(divided) \
             == generator_profile(slow)
+
+
+def _cached(ring, gens, i, by_saturation):
+    """The ideal of gens saturated by z_i, or the ideal of gens itself; either
+    way with its basis under degrevlex with z_i last cached."""
+    if by_saturation:
+        return _saturate_variable(Ideal(ring, gens), i)
+    out = Ideal(ring, gens)
+    out.groebner_basis(MonomialOrder(ring.nvars, last=i))
+    return out
+
+
+R7 = PolynomialRing(prime=7, variables=("x", "y", "z"))
+
+
+@settings(deadline=None)
+@example((R7, list(R7.gens()[:2])), 0, 2, False)
+@example((R7, list(R7.gens()[:2])), 0, 0, True)
+@given(homogeneous_ideals(), st.integers(0, 4), st.integers(0, 3), st.booleans())
+def test_intersection_reads_containment_from_cached_bases(ring_gens, split, i,
+                                                          by_saturation):
+    """For a <= b, with only b's basis under degrevlex with z_i last cached
+    (by a saturation or by groebner_basis), ideal_intersection(a, b) and
+    ideal_intersection(b, a) start no engine run and give the t-elimination's
+    ideal.  A pair where neither contains the other still takes the
+    elimination, with the same answer."""
+    ring, gens = ring_gens
+    split, i = 1 + split % len(gens), i % ring.nvars
+    a, extra = gens[:split], gens[split:]
+    orders = []
+    engine = groebner._buchberger_dicts
+
+    def counted(inputs, p, order, **kwargs):
+        orders.append(order.descriptor)
+        return engine(inputs, p, order, **kwargs)
+
+    b = _cached(ring, a + extra, i, by_saturation)
+    want = intersection_by_elimination(Ideal(ring, a), b).groebner_basis().elements
+    for first, second in ((Ideal(ring, a), b), (b, Ideal(ring, a))):
+        with mock.patch.object(groebner, "_buchberger_dicts", counted):
+            got = ideal_intersection(first, second)
+        assert orders == []
+        assert got.groebner_basis().elements == want
+
+    if not extra:
+        return
+    c = _cached(ring, extra, i, by_saturation)
+    meet = intersection_by_elimination(Ideal(ring, a), c).groebner_basis().elements
+    with mock.patch.object(groebner, "_buchberger_dicts", counted):
+        got = ideal_intersection(Ideal(ring, a), c)
+    assert got.groebner_basis().elements == meet
+    if meet not in (Ideal(ring, a).groebner_basis().elements,
+                    c.groebner_basis().elements):
+        assert any(d.startswith("eliminate") for d in orders)
 
 
 DENSE_PRIMES = (2, 101, 32003, 299999999999999999999987)
