@@ -21,10 +21,11 @@ Line-bundle translation conventions:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, log2
+from math import comb, log2, prod
 from operator import add, mul
 
 from .errors import UsageError
@@ -116,13 +117,12 @@ def schur_dim(lam, n: int) -> int:
         lam = tuple(x - shift for x in lam)
     lam = Partition(lam).parts
     l = len(lam)
-    out = Fraction(1)
-    for i in range(l):
-        out *= Fraction(comb(lam[i] + n - 1 - i, n - l), comb(n - 1 - i, n - l))
-        for j in range(i + 1, l):
-            out *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert out.denominator == 1
-    return int(out)
+    up = Counter(comb(lam[i] + n - 1 - i, n - l) for i in range(l))
+    down = Counter(comb(n - 1 - i, n - l) for i in range(l))
+    for i, j in combinations(range(l), 2):
+        up[lam[i] - lam[j] + j - i] += 1
+        down[j - i] += 1
+    return _quotient(up, down)
 
 
 def weyl_dim_type_c(lam, n: int) -> int:
@@ -137,13 +137,24 @@ def weyl_dim_type_c(lam, n: int) -> int:
         raise UsageError(f"{lam} is not a partition")
     l = [lam[i] + n - i for i in range(n)]
     m = [n - i for i in range(n)]
-    out = Fraction(1)
-    for i in range(n):
-        out *= Fraction(l[i], m[i])
-        for j in range(i + 1, n):
-            out *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    assert out.denominator == 1
-    return int(out)
+    up, down = Counter(l), Counter(m)
+    for i, j in combinations(range(n), 2):
+        up[l[i] ** 2 - l[j] ** 2] += 1
+        down[m[i] ** 2 - m[j] ** 2] += 1
+    return _quotient(up, down)
+
+
+def _quotient(up: Counter, down: Counter) -> int:
+    """prod(up) // prod(down) over the counted factors, after cancelling the
+    factors both count ((1^3000) at n = 3000 would multiply out superfactorials
+    of 42M bits); pairwise, since one factor at a time is quadratic."""
+    sides = []
+    for side in (up - down, down - up):
+        terms = [f ** k for f, k in side.items()]
+        while len(terms) > 1:
+            terms = [prod(terms[k:k + 2]) for k in range(0, len(terms), 2)]
+        sides.append(prod(terms))
+    return sides[0] // sides[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +260,7 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
         return 1
 
     cols = [list(combinations(range(n), c)) for c in conj]
-    src_dim = 1
-    for c in cols:
-        src_dim *= len(c)
+    src_dim = prod(len(c) for c in cols)
     rows_basis: dict[tuple, int] = {}
 
     def row_monomials(filling):
@@ -262,9 +271,7 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
             rows.append(tuple(sorted(row)))
         return tuple(rows)
 
-    tgt_dim_bound = 1
-    for p in part.parts:
-        tgt_dim_bound *= comb(n + p - 1, p)  # dim S^p C^n
+    tgt_dim_bound = prod(comb(n + p - 1, p) for p in part.parts)  # dim S^p C^n
     if src_dim > guard or tgt_dim_bound > guard:
         raise UsageError("Schur construction exceeds the size guard")
 
@@ -298,15 +305,9 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
 
 
 def _expand_columns(columns_signed, chosen):
-    def rec(j, acc, sign):
-        if j == len(chosen):
-            yield tuple(acc), sign
-            return
-        for term, s in columns_signed[j][chosen[j]]:
-            acc.append(term)
-            yield from rec(j + 1, acc, sign * s)
-            acc.pop()
-    yield from rec(0, [], 1)
+    """Each filling of the chosen columns, with the product of its signs."""
+    for picks in product(*(columns_signed[j][c] for j, c in enumerate(chosen))):
+        yield tuple(term for term, _ in picks), prod(s for _, s in picks)
 
 
 def _integer_rank(cols: list[dict[int, int]]) -> int:

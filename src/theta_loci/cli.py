@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: run, example, gb, bott, vinberg, schur-dim, verlinde.
-Exit codes: 0 all verdicts pass, 2 a NONGENERIC report, 1 malformed input or
-usage errors (the message names the offending field).
+Exit codes: 0 all verdicts pass, 2 a NONGENERIC report, 1 malformed input,
+malformed arguments, or an answer too long to print (the message names the
+offending field or value).
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def _parse_int_list(text: str) -> list[int]:
     if not all(_INTEGER.fullmatch(x) for x in entries):
         raise InputError(f"expected a comma-separated integer list, got {text!r}")
     return [int(x) for x in entries]
+
+
+def _print(out) -> int:
+    """Print a command's answer as JSON; an int prints as itself."""
+    try:
+        text = json.dumps(out, sort_keys=True, indent=2)
+    except ValueError as exc:  # Python's limit on turning an int into text
+        raise UsageError(f"the answer has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
+    sys.stdout.write(text + "\n")
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -116,8 +128,7 @@ def _cmd_gb(args) -> int:
         out["numerator"] = str(hd.numerator)
         out["dim"] = hd.krull_dimension
         out["degree"] = hd.degree
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
-    return 0
+    return _print(out)
 
 
 def _load_resolution(path: str):
@@ -172,8 +183,7 @@ def _cmd_bott(args) -> int:
         }
         if table.entries is not None:
             out["h"] = list(table.entries)
-        sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
-        return 0
+        return _print(out)
 
     if args.weight is None:
         raise InputError("bott needs --weight (or resolution --file)")
@@ -190,8 +200,7 @@ def _cmd_bott(args) -> int:
         out = {"vanishes": False, "degree": outcome.degree,
                "dominant_weight": list(outcome.dominant_weight),
                "dimension": outcome.dimension}
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
-    return 0
+    return _print(out)
 
 
 def _cmd_vinberg(args) -> int:
@@ -209,33 +218,36 @@ def _cmd_vinberg(args) -> int:
         if not args.terms:
             raise InputError("vinberg dim needs --terms")
         v = vinberg_mod.parse_bracket_terms(args.terms)
-        sys.stdout.write(f"{vinberg_mod.orbit_dimension(v)}\n")
-        return 0
+        return _print(vinberg_mod.orbit_dimension(v))
     if args.action == "supports":
         if not args.type:
             raise InputError("vinberg supports needs --type")
         count, reps = vinberg_mod.enumerate_supports(args.type)
         out = {"count": count,
                "representatives": [[list(t) for t in r.triples()] for r in reps]}
-        sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
-        return 0
+        return _print(out)
     raise InputError(f"unknown vinberg action {args.action!r}")
 
 
 def _cmd_schur_dim(args) -> int:
-    lam = _parse_int_list(args.lam)
-    sys.stdout.write(f"{bott_mod.schur_dim(lam, args.n)}\n")
-    return 0
+    return _print(bott_mod.schur_dim(_parse_int_list(args.lam), args.n))
 
 
 def _cmd_verlinde(args) -> int:
-    sys.stdout.write(f"{bott_mod.verlinde(args.g, args.k)}\n")
-    return 0
+    return _print(bott_mod.verlinde(args.g, args.k))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a malformed argument exits 1 like other malformed input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache  # built on the first call; a new parser per call leaves cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="theta-loci",
         description="Pfaffian degeneracy loci over small prime fields")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, UsageError) as exc:

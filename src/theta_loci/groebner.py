@@ -4,11 +4,12 @@ Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
 degree) selection.  The engine works on {key: coeff} dicts of poly's packed
 keys: integer comparison realizes the term order and integer addition realizes
 monomial multiplication.  Under degrevlex they are the keys a Polynomial holds;
-block elimination orders pack each block alike and convert term by term.
-Divisibility is a SWAR check on the plain packing (one slot per variable),
-which is computed from the key by arithmetic, so the reduction loop never
-unpacks a term into exponents.  Coefficients of the working
-polynomial are reduced mod p only when their term is popped.
+other orders convert each key by arithmetic on its plain packing (one slot
+per variable), which is itself computed from the key by arithmetic.
+Divisibility is a SWAR check on the plain packing and an lcm is its
+slot-wise max (Monagan-Pearce 2011), so the engine never unpacks a term into
+exponents.  Coefficients of the working polynomial are reduced mod p only
+when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
@@ -61,12 +62,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 from operator import le
 
 from .errors import UsageError
 from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _degree,
-                   _revkey, _unrev)
+                   _revkey, _slot_sum, _unrev)
 
 
 class MonomialOrder:
@@ -75,31 +76,33 @@ class MonomialOrder:
 
     key(): packed integer; larger key == larger monomial, key(ab) = key(a)+key(b).
     Under the native order it is the key a Polynomial stores.
-    plain(key): plain packing for SWAR divisibility tests, derived from the key
-    by arithmetic; slot j holds variable slots[j], and
-    plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).
+    plain(key): plain packing for SWAR divisibility tests and lcms, derived
+    from the key by arithmetic; slot j holds variable slots[j], and
+    plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).  A block order
+    keeps the ring's slot layout: its drop and keep blocks are masks of one
+    plain packing, each keyed as deg * B^n - block, the drop block's key
+    shifted above the other's.
     """
 
     def __init__(self, nvars: int, drop: tuple[int, ...] = (), last: int | None = None):
         self.nvars = nvars
         self.drop = tuple(sorted(drop))
-        self.keep = tuple(i for i in range(nvars) if i not in set(self.drop))
         if last is not None and (self.drop or not 0 <= last < nvars):
             raise UsageError(f"no degrevlex order on {nvars} variables has {last} last")
         last = nvars - 1 if last is None else last
         self.native = not self.drop and last == nvars - 1
-        self.slots = (self.keep + self.drop if self.drop
-                      else tuple(i for i in range(nvars) if i != last) + (last,))
+        self.slots = tuple(i for i in range(nvars) if i != last) + (last,)
         self.descriptor = (f"eliminate[{','.join(map(str, self.drop))}]" if self.drop
                            else "degrevlex" if self.native else f"degrevlex[{last}]")
         self._guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
+        full = (1 << (_BITS * nvars)) - 1
+        dmask = sum(_MASK << (_BITS * i) for i in self.drop)
+        self._blocks = (dmask, full ^ dmask) if self.drop else (full,)
+        self._shift = _BITS * (nvars + 4)  # a block key fits below this
 
     def key(self, exps) -> int:
-        if not self.drop:
-            return _revkey(exps, self.slots)
-        kk = _revkey(exps, self.keep)
-        kd = _revkey(exps, self.drop)
-        return (kd << (_BITS * (len(self.keep) + 4))) + kk
+        k = _revkey(exps, self.slots)
+        return self.moved(k) if self.drop else k
 
     def plain(self, key: int) -> int:
         """Plain packing of a key; every exponent must stay below _MAXEXP.
@@ -110,26 +113,39 @@ class MonomialOrder:
         if not self.drop:
             pk = _unrev(key, self.nvars)
         else:
-            nk = len(self.keep)
-            shift = _BITS * (nk + 4)
-            pk = (_unrev(key >> shift, len(self.drop)) << (_BITS * nk)) \
-                + _unrev(key & ((1 << shift) - 1), nk)
+            hi = key >> self._shift
+            pk = _unrev(hi, self.nvars) + _unrev(key - (hi << self._shift), self.nvars)
         if pk & self._guard:
             raise UsageError("exponent too large for packed order")
         return pk
 
-    def exps(self, key: int) -> tuple[int, ...]:
-        pk = self.plain(key)
-        out = [0] * self.nvars
-        for slot, i in enumerate(self.slots):
-            out[i] = (pk >> (_BITS * slot)) & _MASK
-        return tuple(out)
+    def unplain(self, pk: int) -> int:
+        """The key whose plain packing is pk (plain's inverse)."""
+        n = self.nvars
+        key = 0
+        for mask in self._blocks:
+            b = pk & mask
+            key = (key << self._shift) + (_slot_sum(b, n) << (_BITS * n)) - b
+        return key
+
+    def lcm(self, a: int, b: int) -> int:
+        """Plain packing of the lcm of two plain packings, their slot-wise max.
+        With exponents below _MAXEXP no slot of (a | G) - b borrows from the
+        next, and its guard bit survives exactly where a's is at least b's."""
+        m = ((((a | self._guard) - b) & self._guard) >> (_BITS - 1)) * _MASK
+        return (a & m) | (b & ~m)
 
     def moved(self, key: int, back: bool = False) -> int:
-        """This order's key (no drop block) of the monomial with ring key key;
-        with back, the ring key of this order's key.  Moving z_i last rotates
-        slots i..n-1 of the plain packing by one and keeps the degree field,
-        so the key moves by the change of packing."""
+        """This order's key of the monomial with ring key key; with back, the
+        ring key of this order's key.  Moving z_i last rotates slots i..n-1
+        of the plain packing by one and keeps the degree field, so the key
+        moves by the change of packing.  A block order keys the ring's plain
+        packing, and its two block keys add up to the ring key."""
+        if self.drop:
+            if not back:
+                return self.unplain(_unrev(key, self.nvars))
+            hi = key >> self._shift
+            return key - (hi << self._shift) + hi
         s, w = _BITS * self.slots[-1], _BITS * (self.nvars - 1 - self.slots[-1])
         seg = _unrev(key, self.nvars) >> s
         new = (((seg << _BITS) & ((1 << (w + _BITS)) - 1)) | (seg >> w) if back
@@ -152,7 +168,6 @@ class _Basis:
         self.p = p
         self.lead_key: list[int] = []
         self.lead_pk: list[int] = []
-        self.lead_exps: list[tuple[int, ...]] = []
         self.tail: list[list[tuple[int, int]]] = []   # without the (monic) lead
         self.alive: list[bool] = []
         # find_reducer's answers while the live leads stay as they are
@@ -167,7 +182,6 @@ class _Basis:
         k = max(d)
         self.lead_key.append(k)
         self.lead_pk.append(self.order.plain(k))
-        self.lead_exps.append(self.order.exps(k))
         self.tail.append(sorted((kk, c) for kk, c in d.items() if kk != k))
         self.alive.append(True)
         self.found.clear()
@@ -175,13 +189,6 @@ class _Basis:
 
     def kill(self, i: int) -> None:
         self.alive[i] = False
-        self.found.clear()
-
-    def keep(self, live) -> None:
-        """Make exactly the elements with an index in live alive."""
-        self.alive = [False] * len(self.alive)
-        for i in live:
-            self.alive[i] = True
         self.found.clear()
 
     def find_reducer(self, pk: int) -> int:
@@ -336,10 +343,6 @@ def _spoly(basis: _Basis, i: int, j: int, lcm_key: int) -> dict[int, int]:
     return d
 
 
-def _lcm_key(order: MonomialOrder, e1, e2) -> int:
-    return order.key(tuple(max(a, b) for a, b in zip(e1, e2)))
-
-
 def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
                       quota: dict[int, int] | None = None,
                       divide_last: bool = False
@@ -377,7 +380,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     counts it by a quota run when it is read.
     """
     basis = _Basis(order, p)
-    pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
+    pairs: list[tuple[int, ...]] = []  # (lcm degree, lcm key, i, j, lcm packing)
     # every seed, S-polynomial and tail of a run over forms is a form
     n = order.nvars
     forms = not order.drop and all(_degree(max(d), n) == _degree(min(d), n)
@@ -386,35 +389,30 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     def update(d: dict[int, int]) -> None:
         # Gebauer-Moeller installation of the Buchberger criteria.
         t = basis.add(d)
-        et = basis.lead_exps[t]
-        kt = basis.lead_key[t]
         pkt = basis.lead_pk[t]
+        lead_pk = basis.lead_pk
         # old pairs: keep (i,j) unless lm_t | lcm(i,j) strictly refines it
         kept = []
-        for deg, lk, i, j in pairs:
-            if not order.divides(pkt, order.plain(lk)):
-                kept.append((deg, lk, i, j))
-                continue
-            if _lcm_key(order, basis.lead_exps[i], et) == lk or \
-               _lcm_key(order, basis.lead_exps[j], et) == lk:
-                kept.append((deg, lk, i, j))
+        for pair in pairs:
+            _, _, i, j, lpk = pair
+            if not order.divides(pkt, lpk) or order.lcm(lead_pk[i], pkt) == lpk \
+                    or order.lcm(lead_pk[j], pkt) == lpk:
+                kept.append(pair)
         # new pairs, grouped by lcm and minimalized by divisibility
-        groups: dict[int, list[int]] = {}
+        groups: dict[int, list[int]] = {}  # lcm plain packing -> the i
         for i in range(t):
-            if not basis.alive[i]:
-                continue
-            groups.setdefault(_lcm_key(order, basis.lead_exps[i], et), []).append(i)
+            if basis.alive[i]:
+                groups.setdefault(order.lcm(lead_pk[i], pkt), []).append(i)
         minimal: list[int] = []  # plain packings of the kept lcms
-        for lk in sorted(groups):
-            lpk = order.plain(lk)
+        for lk, lpk in sorted((order.unplain(lpk), lpk) for lpk in groups):
             if any(order.divides(mpk, lpk) for mpk in minimal):
                 continue
             # Buchberger's product criterion kills the whole lcm class; the
-            # leads are coprime exactly when key(lcm) = key(lead_i) + key(lead_t)
-            if any(basis.lead_key[i] + kt == lk for i in groups[lk]):
+            # leads are coprime exactly when their packings add up to the lcm
+            if any(lead_pk[i] + pkt == lpk for i in groups[lpk]):
                 continue
             minimal.append(lpk)
-            kept.append((sum(order.exps(lk)), lk, groups[lk][0], t))
+            kept.append((_slot_sum(lpk, n), lk, groups[lpk][0], t, lpk))
         heapq.heapify(kept)
         pairs[:] = kept
         # prune now-redundant reducers
@@ -422,11 +420,11 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             if basis.alive[i] and order.divides(pkt, basis.lead_pk[i]):
                 basis.kill(i)
 
-    seeds = [(sum(order.exps(max(d))), d) for d in inputs if d]  # (lead degree, f)
+    seeds = [(_slot_sum(order.plain(max(d)), n), d) for d in inputs if d]  # (degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
 
-    zshift = _BITS * (order.nvars - 1)  # z's slot in the plain packing
-    zkey = order.key(tuple(int(v == order.slots[-1]) for v in range(order.nvars)))
+    zshift = _BITS * (n - 1)  # z's slot in the plain packing
+    zkey = order.unplain(1 << zshift)
     divided = False
     mu: dict[int, int] = {}
     nxt = 0
@@ -445,7 +443,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
-            _, lk, i, j = heapq.heappop(pairs)
+            _, lk, i, j, _ = heapq.heappop(pairs)
             if left == 0:
                 continue
             r = _reduce(_spoly(basis, i, j, lk), basis, deg if forms else None)
@@ -459,20 +457,16 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             if left is not None:
                 left -= 1
 
-    # interreduction: only the minimal leads stay alive; a lead divides no
-    # term below it, so each tail is reduced once against that one basis
+    # interreduction: the live leads are the minimal ones, since a new lead
+    # is divisible by no live lead and kills the live leads it divides; a
+    # lead divides no term below it, so each tail is reduced once against
+    # that one basis
     live = [i for i in range(len(basis.lead_key)) if basis.alive[i]]
     live.sort(key=lambda i: basis.lead_key[i])
-    minimal_idx: list[int] = []
-    for i in live:
-        if not any(order.divides(basis.lead_pk[j], basis.lead_pk[i])
-                   for j in minimal_idx):
-            minimal_idx.append(i)
-    basis.keep(minimal_idx)
     reduced: list[dict[int, int]] = []
-    for i in minimal_idx:
+    for i in live:
         d = _reduce(dict(basis.tail[i]), basis,
-                    sum(basis.lead_exps[i]) if forms else None)
+                    _slot_sum(basis.lead_pk[i], n) if forms else None)
         d[basis.lead_key[i]] = 1
         reduced.append(d)
     return reduced, None if divided else mu
@@ -558,14 +552,10 @@ class GroebnerBasis:
 
 
 def _to_dict(f: Polynomial, order: MonomialOrder) -> dict[int, int]:
-    if order.drop:
-        return {order.key(f.ring._exps(k)): c for k, c in f.packed}
     return dict(f.packed) if order.native else {order.moved(k): c for k, c in f.packed}
 
 def _from_dict(d: dict[int, int], ring: PolynomialRing,
                order: MonomialOrder) -> Polynomial:
-    if order.drop:
-        return ring.from_exponent_dict({order.exps(k): c for k, c in d.items()})
     return ring._from_keys(d if order.native else
                            {order.moved(k, back=True): c for k, c in d.items()})
 
@@ -1018,24 +1008,15 @@ def hilbert(ideal: Ideal) -> HilbertData:
         codim += 1
     dim = n - codim
     degree = q(1)
-    if dim <= 0:
-        hp = UnivariatePolynomial.zero()
-    else:
+    hp = UnivariatePolynomial.zero()
+    if dim > 0:
         # HF(d) = sum_j q_j * C(d - j + dim - 1, dim - 1)
         #       = sum_j q_j * prod_{k=1}^{dim-1} (d - j + k) / (dim - 1)!
-        hp = UnivariatePolynomial.zero()
-        denom = 1
-        for k in range(1, dim):
-            denom *= k
         for j, c in enumerate(q.coeffs):
-            if c == 0:
-                continue
-            term = UnivariatePolynomial((Fraction(1),))
+            term = UnivariatePolynomial((Fraction(c, factorial(dim - 1)),))
             for k in range(1, dim):
-                term = term * UnivariatePolynomial((Fraction(k - j), Fraction(1)))
-            term = UnivariatePolynomial([Fraction(x, denom) * c for x in term.coeffs])
+                term = term * UnivariatePolynomial((k - j, 1))
             hp = hp + term
-        hp = UnivariatePolynomial([Fraction(x) for x in hp.coeffs])
     return HilbertData(numerator, dim, degree, hp, n)
 
 

@@ -103,6 +103,13 @@ def _unrev(key: int, k: int) -> int:
     return (_degree(key, k) << (_BITS * k)) - key
 
 
+def _slot_sum(pk: int, k: int) -> int:
+    """Sum of the k slots of a plain packing, exact for any k and any slot
+    values: the sum of the low bytes plus 256 times that of the high bytes."""
+    b = pk.to_bytes(2 * k, "little")
+    return sum(b[::2]) + (sum(b[1::2]) << 8)
+
+
 # a variable name, the only kind parse can read back
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # a variable token carries its optional "^ exponent"

@@ -12,11 +12,35 @@ from theta_loci.cli import main
 
 
 def _refused(argv, value, capsys):
-    """argparse refuses argv with a non-zero exit, naming value."""
+    """argparse refuses argv with exit 1, as for any malformed input, naming
+    value; 2 is the code of a NONGENERIC report."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()
-    assert exc.value.code != 0 and out.out == "" and repr(value) in out.err
+    assert exc.value.code == 1 and out.out == "" and repr(value) in out.err
+
+
+def test_malformed_arguments_exit_1(capsys):
+    _refused(["run", "--case", "c5w25", "--seed", "x"], "x", capsys)
+    _refused(["run", "--case", "c6"], "c6", capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["verlinde", "--g", "2", "--k", "2", "--level", "3"])
+    assert exc.value.code == 1 and "--level 3" in capsys.readouterr().err
+
+
+def test_answers_too_long_to_print_exit_1(capsys):
+    """An answer with an integer longer than Python prints is a named error,
+    not a traceback, and nothing of it is printed."""
+    rows = lambda top, low: ",".join(map(str, range(top, low, -1)))  # noqa: E731
+    for argv in (["bott", "--type", "A", "--weight", rows(200, 0)],
+                 ["bott", "--type", "C", "--weight", rows(300, 150)],
+                 ["schur-dim", "--lambda", rows(300, 0), "--n", "300"]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"{sys.get_int_max_str_digits()} digits" in out.err
+    # below the limit the answer prints whole
+    assert main(["schur-dim", "--lambda", rows(40, 0), "--n", "40"]) == 0
+    assert len(capsys.readouterr().out.strip()) > 200
 
 
 def test_schur_dim_cli(capsys):

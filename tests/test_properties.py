@@ -1,6 +1,6 @@
-"""Property tests for packed monomial keys, polynomial arithmetic and the
-Groebner engine's Hilbert-driven pruning, dense rows, saturation by an
-ideal and the intersection's containment shortcut."""
+"""Property tests for packed monomial keys and plain packings, polynomial
+arithmetic and the Groebner engine's Hilbert-driven pruning, dense rows,
+saturation by an ideal and the intersection's containment shortcut."""
 
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -15,7 +15,7 @@ from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
                                  _to_dict, generator_profile,
                                  ideal_intersection, saturate,
                                  saturate_by_ideal)
-from theta_loci.poly import PolynomialRing
+from theta_loci.poly import PolynomialRing, _degree, _slot_sum
 
 from oracles import intersection_by_elimination, saturate_by_iterated_quotient
 
@@ -75,7 +75,7 @@ def test_last_variable_keys_order_like_degrevlex_cmp(i, a, b):
 def test_keys_add_like_monomials_multiply(order, a, b):
     ab = tuple(x + y for x, y in zip(a, b))
     assert order.key(a) + order.key(b) == order.key(ab)
-    assert order.exps(order.key(ab)) == ab
+    assert order.plain(order.key(ab)) == _packing(order, ab)
 
 
 @settings(deadline=None)
@@ -85,6 +85,52 @@ def test_plain_packing_divides_and_adds_like_monomials(order, a, b):
     pa, pb = order.plain(order.key(a)), order.plain(order.key(b))
     assert order.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
     assert order.plain(order.key(a) + order.key(b)) == pa + pb
+
+
+def _packing(order, e):
+    """The plain packing of exponents e: slot j holds variable slots[j]."""
+    return sum(e[v] << (16 * j) for j, v in enumerate(order.slots))
+
+
+@st.composite
+def orders_and_exponent_pairs(draw):
+    """An order on 1-12 variables (native, some variable last, or a block
+    order with any nonempty drop set) and two exponent tuples below _MAXEXP."""
+    n = draw(st.integers(1, 12))
+    drop = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    order = draw(st.sampled_from([MonomialOrder(n), MonomialOrder(n, tuple(drop)),
+                                  MonomialOrder(n, last=min(drop))]))
+    exps = st.tuples(*[st.one_of(st.integers(0, 3),
+                                 st.integers(0, _MAXEXP - 1))] * n)
+    return order, draw(exps), draw(exps)
+
+
+TOP = (_MAXEXP - 1,) * 12  # slot sums far past 2^16
+
+
+@settings(deadline=None)
+@example((MonomialOrder(12, (0, 2)), TOP, TOP[:11] + (0,)))
+@example((MonomialOrder(12, last=3), TOP, (0,) * 12))
+@example((MonomialOrder(4, (0, 2)), (5, 0, 7, 1), (2, 3, 7, 0)))
+@given(orders_and_exponent_pairs())
+def test_lcm_and_key_of_plain_packings(case):
+    """The slot-wise lcm of two plain packings is the packing of the
+    exponent lcm, the slot sum is the degree, unplain inverts plain, and the
+    keys order monomials block by block, each block by degrevlex."""
+    order, a, b = case
+    lcm = tuple(map(max, a, b))
+    pa, pb = _packing(order, a), _packing(order, b)
+    assert order.lcm(pa, pb) == order.lcm(pb, pa) == _packing(order, lcm)
+    assert _slot_sum(pa, order.nvars) == sum(a)
+    for e, pk in ((a, pa), (lcm, order.lcm(pa, pb))):
+        assert order.plain(order.key(e)) == pk
+        assert order.unplain(pk) == order.key(e)
+    blocks = ([order.drop, [i for i in order.slots if i not in order.drop]]
+              if order.drop else [order.slots])
+    want = 0
+    for blk in blocks:
+        want = want or degrevlex_cmp(tuple(a[i] for i in blk), tuple(b[i] for i in blk))
+    assert _sign(order.key(a) - order.key(b)) == want
 
 
 @st.composite
@@ -165,7 +211,7 @@ def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
     order = MonomialOrder(ring.nvars)
     dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
     plain = _buchberger_dicts(dicts, ring.prime, order)
-    quota = Counter(sum(order.exps(max(d))) for d in plain[0])
+    quota = Counter(_degree(max(d), ring.nvars) for d in plain[0])
     assert _buchberger_dicts(dicts, ring.prime, order, quota=quota) == plain
 
 
@@ -282,7 +328,7 @@ def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
         dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
         with mock.patch.object(groebner, "_reduce", both):
             basis, _ = _buchberger_dicts(dicts, ring.prime, order)
-            quota = Counter(sum(order.exps(max(d))) for d in basis)
+            quota = Counter(_degree(max(d), ring.nvars) for d in basis)
             _buchberger_dicts(basis, ring.prime, order, quota=quota)
             _buchberger_dicts(dicts, ring.prime, order, divide_last=True)
     assert seen
