@@ -27,21 +27,73 @@ from . import vinberg as vinberg_mod
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _too_long(digits: int) -> str:
+    return f"{digits} digits, more than the limit of {sys.get_int_max_str_digits()}"
+
+
 def _parse_int(text: str) -> int:
     """An integer option's value (argparse type)."""
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # for such text, only Python's digit limit
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got one of {_too_long(len(text.lstrip('+-')))}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """The integers of a comma-separated list; an empty entry is an error,
-    and the empty string is the empty list."""
+def _parse_int_list(text: str, option: str) -> list[int]:
+    """The integers of option's comma-separated list; an empty entry is an
+    error, and the empty string is the empty list."""
     items = text.replace(" ", "")
     entries = items.split(",") if items else []
     if not all(_INTEGER.fullmatch(x) for x in entries):
-        raise InputError(f"expected a comma-separated integer list, got {text!r}")
-    return [int(x) for x in entries]
+        raise InputError(f"{option} expects a comma-separated integer list, got {text!r}")
+    out = []
+    for i, x in enumerate(entries):
+        try:
+            out.append(int(x))
+        except ValueError:  # for such text, only Python's digit limit
+            raise InputError(f"{option} entry {i} has "
+                             f"{_too_long(len(x.lstrip('+-')))}") from None
+    return out
+
+
+class _LongInt:
+    """A JSON integer with more digits than int() reads, kept so that the
+    field holding it can be named."""
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what} nests too deeply: {exc}") from None
+
+
+def _not_an_integer(value, field: str) -> InputError:
+    """The error for a JSON field that should be an integer and is not (a
+    field is checked by type(), so a bool is refused too)."""
+    if isinstance(value, _LongInt):
+        return InputError(f"{field} has {_too_long(value.digits)}")
+    return InputError(f"{field} must be an integer")
 
 
 def _print(out) -> int:
@@ -73,20 +125,14 @@ def _cmd_example(args) -> int:
 
 
 def _load_gb_input(path: str):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read input file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}") from exc
+    data = _read_json(path, "gb input file")
     if not isinstance(data, dict):
         raise InputError("gb input must be a JSON object")
     for name in ("prime", "variables", "generators"):
         if name not in data:
             raise InputError(f"gb input missing field {name!r}")
-    if type(data["prime"]) is not int:  # not a float, string or bool
-        raise InputError("gb input field 'prime' must be an integer")
+    if type(data["prime"]) is not int:
+        raise _not_an_integer(data["prime"], "gb input field 'prime'")
     if not isinstance(data["variables"], list) or not data["variables"] \
             or not all(isinstance(v, str) for v in data["variables"]):
         raise InputError("gb input field 'variables' must be a nonempty list of strings")
@@ -132,11 +178,7 @@ def _cmd_gb(args) -> int:
 
 
 def _load_resolution(path: str):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read resolution file: {exc}") from exc
+    data = _read_json(path, "resolution file")
     if not isinstance(data, dict):
         raise InputError("resolution file must be a JSON object")
     if "space" not in data or "terms" not in data:
@@ -150,8 +192,9 @@ def _load_resolution(path: str):
     name = "N" if family == "A" else "n"
     if name not in space_data:
         raise InputError(f"space of type {family} missing field {name!r}")
-    # type(), not isinstance(): a bool is not an integer here
-    if type(space_data[name]) is not int or space_data[name] < 1:
+    if type(space_data[name]) is not int:
+        raise _not_an_integer(space_data[name], f"space field {name!r}")
+    if space_data[name] < 1:
         raise InputError(f"space field {name!r} must be an integer >= 1")
     if not isinstance(data["terms"], list):
         raise InputError("resolution file field 'terms' must be a list")
@@ -163,11 +206,14 @@ def _load_resolution(path: str):
             if field not in t:
                 raise InputError(f"terms[{i}] missing field {field!r}")
         weight, mult = t["weight"], t.get("mult", 1)
-        if not isinstance(weight, list) or any(type(x) is not int for x in weight):
+        if not isinstance(weight, list):
             raise InputError(f"terms[{i}] field 'weight' must be a list of integers")
+        for j, x in enumerate(weight):
+            if type(x) is not int:
+                raise _not_an_integer(x, f"terms[{i}] field 'weight' entry {j}")
         for field, value in (("twist", t["twist"]), ("h", t["h"]), ("mult", mult)):
             if type(value) is not int:
-                raise InputError(f"terms[{i}] field {field!r} must be an integer")
+                raise _not_an_integer(value, f"terms[{i}] field {field!r}")
         terms.append(bott_mod.ResolutionTerm(tuple(weight), t["twist"], t["h"], mult))
     return terms, bott_mod.Space(family, space_data[name])
 
@@ -187,7 +233,7 @@ def _cmd_bott(args) -> int:
 
     if args.weight is None:
         raise InputError("bott needs --weight (or resolution --file)")
-    weight = _parse_int_list(args.weight)
+    weight = _parse_int_list(args.weight, "--weight")
     if args.rho_added:
         n = len(weight)
         rho = list(range(n - 1, -1, -1)) if args.type == "A" else list(range(n, 0, -1))
@@ -230,7 +276,7 @@ def _cmd_vinberg(args) -> int:
 
 
 def _cmd_schur_dim(args) -> int:
-    return _print(bott_mod.schur_dim(_parse_int_list(args.lam), args.n))
+    return _print(bott_mod.schur_dim(_parse_int_list(args.lam, "--lambda"), args.n))
 
 
 def _cmd_verlinde(args) -> int:

@@ -15,15 +15,18 @@ counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
 A run whose inputs are all forms, under an order with no drop block, has
 only forms of known degree to reduce: seeds, S-polynomials and the tails of
-the final interreduction.  A form with at least a quarter of the monomials
-of its degree d, 4 * len(f) >= C(n + d - 1, d), is reduced as one packed
-integer row, one slot per degree-d monomial with the lead in the top slot
-(F4's Macaulay rows, Faugere 1999, packed as in Dumas-Fousse-Salvy 2011).
-A slot is W = bit_length((p - 1) + ncols * (p - 1)^2) bits wide: it starts
-below p and each of at most ncols steps adds at most (p - 1)^2, so it never
-carries into the next.  The row loop pops the same terms in the same order
-and asks find_reducer the same questions as the sparse loop, so it returns
-the same remainder; every other form takes the sparse loop.
+the final interreduction.  Such a form of degree d can be reduced as one
+packed integer row, one slot per degree-d monomial with the lead in the top
+slot (F4's Macaulay rows, Faugere 1999, packed as in Dumas-Fousse-Salvy
+2011).  A slot is W = bit_length((p - 1) + ncols * (p - 1)^2) bits wide,
+ncols = C(n + d - 1, d): it starts below p and each of at most ncols steps
+adds at most (p - 1)^2, so it never carries into the next.  A form takes a
+row when it has at least a quarter of its degree's monomials,
+4 * len(f) >= ncols, or when it has at least 64 terms and
+256 * len(f) >= ncols * W, since a row step costs big-integer work in
+proportion to ncols * W; every other form takes the sparse loop.  The row
+loop pops the same terms in the same order and asks find_reducer the same
+questions as the sparse loop, so it returns the same remainder.
 
 A homogeneous degrevlex run whose final leading ideal is known in advance
 can skip work that this knowledge proves redundant (Traverso 1996).  Each
@@ -170,7 +173,7 @@ class _Basis:
         self.lead_pk: list[int] = []
         self.tail: list[list[tuple[int, int]]] = []   # without the (monic) lead
         self.alive: list[bool] = []
-        # find_reducer's answers while the live leads stay as they are
+        # find_reducer's answers, valid for good (see find_reducer)
         self.found: dict[int, int] = {}
         # the dense path's column maps by degree and packed rows by
         # (element, shift); an element never changes once added
@@ -184,28 +187,38 @@ class _Basis:
         self.lead_pk.append(self.order.plain(k))
         self.tail.append(sorted((kk, c) for kk, c in d.items() if kk != k))
         self.alive.append(True)
-        self.found.clear()
         return len(self.lead_key) - 1
 
     def kill(self, i: int) -> None:
         self.alive[i] = False
-        self.found.clear()
 
     def find_reducer(self, pk: int) -> int:
-        """Index of the first live element whose lead divides plain pk, or -1."""
-        i = self.found.get(pk)
-        if i is not None:
-            return i
+        """Index of the first live element whose lead divides plain pk, or -1.
+
+        found[pk] is where the last lookup of pk stopped: i >= 0 when element
+        i was the first live divisor, -1 - n when none of the first n
+        elements was (a missing entry reads as -1, n = 0).  Elements are
+        only appended, and an element only ever goes from live to dead, so
+        what found[pk] says about the elements before i (or n) stays true:
+        a lookup returns i while it is live and otherwise resumes the scan
+        after it, and the memo never needs clearing.
+        """
+        lead_pk, alive, found = self.lead_pk, self.alive, self.found
+        i = found.get(pk, -1)
+        if i >= 0:
+            if alive[i]:
+                return i
+            i += 1
+        else:
+            i = -1 - i
         guard = self.order._guard
         big = pk | guard
-        alive = self.alive
-        i = -1
-        for j, lpk in enumerate(self.lead_pk):
-            if alive[j] and (big - lpk) & guard == guard:
-                i = j
-                break
-        self.found[pk] = i
-        return i
+        for j in range(i, len(lead_pk)):
+            if alive[j] and (big - lead_pk[j]) & guard == guard:
+                found[pk] = j
+                return j
+        found[pk] = -1 - len(lead_pk)
+        return -1
 
 
 def _normal_form_dict(f: dict[int, int], basis: _Basis) -> dict[int, int]:
@@ -242,6 +255,11 @@ def _normal_form_dict(f: dict[int, int], basis: _Basis) -> dict[int, int]:
     return out
 
 
+def _width(p: int, ncols: int) -> int:
+    """Bits per slot of a packed row over F_p with ncols slots."""
+    return ((p - 1) + ncols * (p - 1) ** 2).bit_length()
+
+
 def _columns(basis: _Basis, d: int) -> tuple:
     """(keys, plain packings, {key: slot}, slot width W) of the degree-d
     monomials, slot 0 the smallest key, so that the top slot is the lead.
@@ -257,7 +275,7 @@ def _columns(basis: _Basis, d: int) -> tuple:
                       for c in combinations_with_replacement(range(n), d)), reverse=True)
         top = d << (_BITS * n)
         keys = [top - pk for pk in pks]
-        width = ((p - 1) + len(keys) * (p - 1) ** 2).bit_length()
+        width = _width(p, len(keys))
         cols = basis.columns[d] = (keys, pks, {k: j for j, k in enumerate(keys)}, width)
     return cols
 
@@ -308,12 +326,20 @@ def _normal_form_dense(f: dict[int, int], basis: _Basis, d: int) -> dict[int, in
 
 def _reduce(f: dict[int, int], basis: _Basis, d: int | None) -> dict[int, int]:
     """The engine's normal form of f; d is f's degree when f is a form under
-    an order with no drop block, else None.  A form with at least a quarter
-    of its degree's monomials is reduced as a packed row."""
+    an order with no drop block, else None.
+
+    A degree-d form is reduced as a packed row when it has at least a
+    quarter of the ncols = C(n + d - 1, d) monomials of its degree, or when
+    it has at least 64 terms and 256 * len(f) >= ncols * W, W the slot width
+    of _width: a row step costs big-integer work in proportion to ncols * W,
+    and below 64 terms the sparse loop is cheap at any width.  ncols and W
+    are counted, not listed, so deciding builds no column map.
+    """
     # below _MAXEXP every degree-d monomial is one plain() accepts
-    if d is not None and d < _MAXEXP \
-            and 4 * len(f) >= comb(basis.order.nvars + d - 1, d):
-        return _normal_form_dense(f, basis, d)
+    if d is not None and d < _MAXEXP:
+        t, ncols = len(f), comb(basis.order.nvars + d - 1, d)
+        if 4 * t >= ncols or (t >= 64 and 256 * t >= ncols * _width(basis.p, ncols)):
+            return _normal_form_dense(f, basis, d)
     return _normal_form_dict(f, basis)
 
 

@@ -11,6 +11,7 @@ from the keys on request.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Sequence
 
 from .errors import UsageError
@@ -112,9 +113,20 @@ def _slot_sum(pk: int, k: int) -> int:
 
 # a variable name, the only kind parse can read back
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-# a variable token carries its optional "^ exponent"
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})(?:\s*\^\s*(\d+))?"
+# a variable token carries its optional "^ exponent"; numbers are ASCII
+# digits, which int() would also read in other scripts
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({_NAME})(?:\s*\^\s*([0-9]+))?"
                     r"|(\^)|(\*)|(\+)|(-))")
+
+
+def _literal(digits: str) -> int:
+    """A number of polynomial text; one longer than int() reads is a
+    UsageError, not Python's ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"a number of {len(digits)} digits is more than the "
+                         f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 class PolynomialRing:
@@ -237,9 +249,9 @@ class PolynomialRing:
                 if exps is None:
                     exps = [0] * self.nvars
                 if num is not None:
-                    coeff *= int(num)
+                    coeff *= _literal(num)
                 elif name in self._var_index:
-                    exps[self._var_index[name]] += 1 if exp is None else int(exp)
+                    exps[self._var_index[name]] += 1 if exp is None else _literal(exp)
                 else:
                     raise UsageError(f"unknown variable {name!r}")
                 last = "factor"

@@ -43,6 +43,58 @@ def test_answers_too_long_to_print_exit_1(capsys):
     assert len(capsys.readouterr().out.strip()) > 200
 
 
+def test_over_long_integers_in_input_exit_1(tmp_path, capsys):
+    """An integer with more digits than Python reads, on the command line or
+    in an input file, is a named error that gives the limit, not a
+    traceback."""
+    limit = f"limit of {sys.get_int_max_str_digits()}"
+    big = "9" * 5000
+
+    def refused(argv, named):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 1 and out.out == "" and named in out.err, out.err
+        assert limit in out.err and "_parse_int" not in out.err, out.err
+
+    refused(["schur-dim", "--lambda", "2,1", "--n", big], "argument --n:")
+    refused(["verlinde", "--g", "-" + big, "--k", "1"], "argument --g:")
+    refused(["schur-dim", "--lambda", big, "--n", "3"], "--lambda entry 0")
+    refused(["bott", "--type", "A", "--weight", "1," + big], "--weight entry 1")
+    path = tmp_path / "input.json"
+    for text, named in (
+            ('{"prime": %s, "variables": ["x"], "generators": ["x"]}' % big,
+             "'prime'"),
+            ('{"prime": 101, "variables": ["x"], "generators": ["x^%s"]}' % big,
+             "generators[0]"),
+            ('{"prime": 101, "variables": ["x"], "generators": ["%s*x"]}' % big,
+             "generators[0]")):
+        path.write_text(text)
+        refused(["gb", str(path)], named)
+    term = '{"weight": [1, -%s], "twist": 0, "h": 0}' % big
+    for text, named in (
+            ('{"space": {"type": "A", "N": %s}, "terms": []}' % big, "'N'"),
+            ('{"space": {"type": "C", "n": 4}, "terms": [%s]}' % term,
+             "terms[0] field 'weight' entry 1")):
+        path.write_text(text)
+        refused(["bott", "resolution", "--file", str(path)], named)
+
+
+def test_unreadable_json_files_exit_1(tmp_path, capsys):
+    """A JSON file that is not UTF-8 text, or that nests deeper than the
+    decoder recurses, is a named error, not a traceback."""
+    path = tmp_path / "input.json"
+    for data, named in ((b"\xff\xfe{}", "cannot read"),
+                        (b"[" * 100000 + b"]" * 100000, "nests too deeply")):
+        path.write_bytes(data)
+        for argv in (["gb", str(path)], ["bott", "resolution", "--file", str(path)]):
+            assert main(argv) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and named in out.err, out.err
+
+
 def test_schur_dim_cli(capsys):
     assert main(["schur-dim", "--lambda", "2,1,1,1,1", "--n", "6"]) == 0
     assert capsys.readouterr().out.strip() == "35"

@@ -134,7 +134,7 @@ def test_parser_roundtrip_and_whitespace():
     assert R.parse("-z_1 + 2*z_1") == R.gens()[0]
     assert R.parse("0").is_zero()
     for bad in ("q_1 + 1", "", "z_1 +", "z_1 -", "z_1*", "+", "-", "z_1 * * z_2",
-                "z_1^", "z_1^z_2", "z_1*-z_2"):
+                "z_1^", "z_1^z_2", "z_1*-z_2", "\u0663*z_1", "z_1^\u0663"):
         with pytest.raises(UsageError):
             R.parse(bad)
 

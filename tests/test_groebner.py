@@ -317,9 +317,9 @@ def test_reduction_loop_never_unpacks_a_term(monkeypatch):
 
 
 def test_reducer_memo_follows_the_live_leads(rxyz):
-    """find_reducer keeps its answers only while the live leads stay as they
-    are: a cached -1 and a cached reducer that gets killed are both
-    dropped."""
+    """find_reducer's memo follows the live leads: after a -1 an added
+    divisor is found, and after a reducer is killed the next live divisor
+    is."""
     import theta_loci.groebner as groebner
 
     x, y, z = rxyz.gens()
@@ -335,6 +335,30 @@ def test_reducer_memo_follows_the_live_leads(rxyz):
     assert basis.find_reducer(pk) == 1
     basis.kill(1)
     assert basis.find_reducer(pk) == -1
+
+
+def test_row_rule_builds_no_column_map(monkeypatch):
+    """_reduce decides between rows and the sparse loop by arithmetic: a
+    3-term form of degree 20 in 12 variables, whose degree has 84,672,315
+    monomials, takes the sparse loop without listing them."""
+    import theta_loci.groebner as groebner
+
+    ring = PolynomialRing(prime=32003, nvars=12)
+    v = ring.gens()
+    order = MonomialOrder(12)
+    basis = groebner._Basis(order, ring.prime)
+    for g in (v[0] ** 2 - v[1] * v[2], v[3] ** 3 + 5 * v[4] * v[5] * v[11]):
+        basis.add(groebner._to_dict(g, order))
+    f = groebner._to_dict(v[0] ** 20 + 7 * v[3] ** 10 * v[6] ** 10
+                          - v[2] ** 9 * v[7] ** 11, order)
+    expected = groebner._normal_form_dict(f, basis)
+
+    def build(*args):
+        raise AssertionError("column map built to decide the row rule")
+
+    monkeypatch.setattr(groebner, "_columns", build)
+    got = groebner._reduce(f, basis, 20)
+    assert got == expected and got != f
 
 
 def test_elimination_order_blocks():

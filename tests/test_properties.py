@@ -334,6 +334,37 @@ def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
     assert seen
 
 
+reducer_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), small_exponents),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+    st.tuples(st.just("find"), st.integers(0, 2))), max_size=40)
+
+
+@settings(deadline=None)
+@example(MonomialOrder(NVARS), [(2, 1, 0, 0)],
+         [("find", 0), ("add", (1, 1, 0, 0)), ("find", 0), ("add", (2, 0, 0, 0)),
+          ("find", 0), ("kill", 0), ("find", 0), ("kill", 1), ("find", 0),
+          ("add", (0, 1, 0, 0)), ("find", 0)])
+@given(orders, st.lists(small_exponents, min_size=1, max_size=3), reducer_ops)
+def test_reducer_memo_answers_like_a_scan_of_the_live_leads(order, lookups, ops):
+    """Whatever adds, kills and lookups come before, find_reducer returns
+    the first live element whose lead divides the monomial, or -1, also
+    for a monomial whose memoized reducer has since been killed."""
+    basis = groebner._Basis(order, 101)
+    leads: list[tuple[int, ...]] = []
+    for op, arg in ops:
+        if op == "add":
+            basis.add({order.key(arg): 1})
+            leads.append(arg)
+        elif op == "kill" and leads:
+            basis.kill(arg % len(leads))
+        elif op == "find":
+            e = lookups[arg % len(lookups)]
+            want = next((i for i, lead in enumerate(leads) if basis.alive[i]
+                         and all(x <= y for x, y in zip(lead, e))), -1)
+            assert basis.find_reducer(order.plain(order.key(e))) == want
+
+
 R3 = PolynomialRing(prime=101, variables=("x", "y", "z"))
 X, Y, Z = R3.gens()
 # exponents of the monomials of degree 0, 1 and 2 in x, y, z
