@@ -1,15 +1,16 @@
 """Groebner engine and derived ideal invariants.
 
 Buchberger with the Gebauer-Moeller pair criteria and normal (minimal lcm
-degree) selection.  The engine works on {key: coeff} dicts of poly's packed
-keys: integer comparison realizes the term order and integer addition realizes
-monomial multiplication.  Under degrevlex they are the keys a Polynomial holds;
-other orders convert each key by arithmetic on its plain packing (one slot
-per variable), which is itself computed from the key by arithmetic.
-Divisibility is a SWAR check on the plain packing and an lcm is its
-slot-wise max (Monagan-Pearce 2011), so the engine never unpacks a term into
-exponents.  Coefficients of the working polynomial are reduced mod p only
-when their term is popped.
+degree) selection.  The engine works on {key: coeff} dicts of packed keys:
+integer comparison realizes the term order and integer addition realizes
+monomial multiplication.  Every order is a weight order refined by the
+ring's degrevlex: its key is the key a Polynomial holds plus one weight
+field shifted above it, and the ring's own order weighs nothing
+(MonomialOrder).  All orders read one plain packing (one slot per variable,
+variable i in slot i) off the low field by arithmetic.  Divisibility is a
+SWAR check on it and an lcm is its slot-wise max (Monagan-Pearce 2011), so
+the engine never unpacks a term into exponents.  Coefficients of the
+working polynomial are reduced mod p only when their term is popped.
 Inputs join the pair queue by degree, so the run that builds a basis also
 counts the minimal generators of a homogeneous ideal (GroebnerBasis.mu).
 
@@ -39,6 +40,8 @@ reduced basis, which knows its leading ideal and carries such a quota.  A
 quota that is too small would silently drop basis elements, so it must come
 from the final leads.
 
+Elimination runs under a block order whose weight is the degrevlex key of
+the dropped block, and keeps the basis elements whose lead weighs nothing.
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
 variable z_i there is a fast path under degrevlex with z_i last, where a
@@ -75,16 +78,19 @@ from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _degree,
 
 class MonomialOrder:
     """Degrevlex with variable `last` last (native: z_n last, the ring's own),
-    or a block elimination order with a dominant drop block.
+    or a block elimination order with a dominant drop block, each a weight
+    order refined by the ring's degrevlex (Cox-Little-O'Shea, Ch. 2 sec. 4).
 
-    key(): packed integer; larger key == larger monomial, key(ab) = key(a)+key(b).
-    Under the native order it is the key a Polynomial stores.
-    plain(key): plain packing for SWAR divisibility tests and lcms, derived
-    from the key by arithmetic; slot j holds variable slots[j], and
-    plain(key(a) + key(b)) = plain(key(a)) + plain(key(b)).  A block order
-    keeps the ring's slot layout: its drop and keep blocks are masks of one
-    plain packing, each keyed as deg * B^n - block, the drop block's key
-    shifted above the other's.
+    key(): the ring key of the monomial (the one a Polynomial stores) plus
+    its weight shifted above it; larger key == larger monomial, and
+    key(ab) = key(a) + key(b).  The native order weighs nothing, so its key
+    is the ring key.  With z_i last the weight is (deg << 16) - e_i: by
+    degree, then by fewer z_i, then as in the ring.  With a drop block D it
+    is the degrevlex key of the D block, so any monomial in D outweighs
+    every monomial without, and a key of weight 0 avoids D.
+    plain(key): plain packing of the ring key (variable i in slot i) for
+    SWAR divisibility tests and lcms; plain(key(a) + key(b)) =
+    plain(key(a)) + plain(key(b)).
     """
 
     def __init__(self, nvars: int, drop: tuple[int, ...] = (), last: int | None = None):
@@ -92,20 +98,17 @@ class MonomialOrder:
         self.drop = tuple(sorted(drop))
         if last is not None and (self.drop or not 0 <= last < nvars):
             raise UsageError(f"no degrevlex order on {nvars} variables has {last} last")
-        last = nvars - 1 if last is None else last
-        self.native = not self.drop and last == nvars - 1
-        self.slots = tuple(i for i in range(nvars) if i != last) + (last,)
+        self.last = nvars - 1 if last is None else last
+        self.native = not self.drop and self.last == nvars - 1
         self.descriptor = (f"eliminate[{','.join(map(str, self.drop))}]" if self.drop
-                           else "degrevlex" if self.native else f"degrevlex[{last}]")
+                           else "degrevlex" if self.native else f"degrevlex[{self.last}]")
         self._guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
-        full = (1 << (_BITS * nvars)) - 1
-        dmask = sum(_MASK << (_BITS * i) for i in self.drop)
-        self._blocks = (dmask, full ^ dmask) if self.drop else (full,)
-        self._shift = _BITS * (nvars + 4)  # a block key fits below this
+        self._dmask = sum(_MASK << (_BITS * i) for i in self.drop)
+        self._shift = _BITS * (nvars + 4)  # a ring key fits below this
+        self._low = (1 << self._shift) - 1
 
     def key(self, exps) -> int:
-        k = _revkey(exps, self.slots)
-        return self.moved(k) if self.drop else k
+        return self.moved(_revkey(exps))
 
     def plain(self, key: int) -> int:
         """Plain packing of a key; every exponent must stay below _MAXEXP.
@@ -113,23 +116,14 @@ class MonomialOrder:
         Keys formed by addition inside the engine carry exponents below
         2 * _MAXEXP; one at or above _MAXEXP would defeat the SWAR guard.
         """
-        if not self.drop:
-            pk = _unrev(key, self.nvars)
-        else:
-            hi = key >> self._shift
-            pk = _unrev(hi, self.nvars) + _unrev(key - (hi << self._shift), self.nvars)
+        pk = _unrev(key, self.nvars)  # the weight field is a multiple of B^n
         if pk & self._guard:
             raise UsageError("exponent too large for packed order")
         return pk
 
     def unplain(self, pk: int) -> int:
         """The key whose plain packing is pk (plain's inverse)."""
-        n = self.nvars
-        key = 0
-        for mask in self._blocks:
-            b = pk & mask
-            key = (key << self._shift) + (_slot_sum(b, n) << (_BITS * n)) - b
-        return key
+        return self.moved((_slot_sum(pk, self.nvars) << (_BITS * self.nvars)) - pk)
 
     def lcm(self, a: int, b: int) -> int:
         """Plain packing of the lcm of two plain packings, their slot-wise max.
@@ -139,21 +133,20 @@ class MonomialOrder:
         return (a & m) | (b & ~m)
 
     def moved(self, key: int, back: bool = False) -> int:
-        """This order's key of the monomial with ring key key; with back, the
-        ring key of this order's key.  Moving z_i last rotates slots i..n-1
-        of the plain packing by one and keeps the degree field, so the key
-        moves by the change of packing.  A block order keys the ring's plain
-        packing, and its two block keys add up to the ring key."""
+        """This order's key of the monomial with ring key key: the key plus
+        its weight; with back, the ring key of this order's key."""
+        if back:
+            return key & self._low
+        if self.native:
+            return key
+        n = self.nvars
+        pk = _unrev(key, n)
         if self.drop:
-            if not back:
-                return self.unplain(_unrev(key, self.nvars))
-            hi = key >> self._shift
-            return key - (hi << self._shift) + hi
-        s, w = _BITS * self.slots[-1], _BITS * (self.nvars - 1 - self.slots[-1])
-        seg = _unrev(key, self.nvars) >> s
-        new = (((seg << _BITS) & ((1 << (w + _BITS)) - 1)) | (seg >> w) if back
-               else (seg >> _BITS) | ((seg & _MASK) << w))
-        return key + ((seg - new) << s)
+            b = pk & self._dmask
+            weight = (_slot_sum(b, n) << (_BITS * n)) - b
+        else:
+            weight = (_degree(key, n) << _BITS) - ((pk >> (_BITS * self.last)) & _MASK)
+        return key + (weight << self._shift)
 
     def divides(self, pk_small: int, pk_big: int) -> bool:
         return ((pk_big | self._guard) - pk_small) & self._guard == self._guard
@@ -264,17 +257,18 @@ def _columns(basis: _Basis, d: int) -> tuple:
     """(keys, plain packings, {key: slot}, slot width W) of the degree-d
     monomials, slot 0 the smallest key, so that the top slot is the lead.
 
-    Under an order with no drop block a degree-d key is d * B^n minus its
-    plain packing, so the map is built from the packings alone.
+    A degree-d ring key is d * B^n minus its plain packing, and the order
+    moves it to its own key, so the map is built from the packings alone.
     """
     cols = basis.columns.get(d)
     if cols is None:
-        n, p = basis.order.nvars, basis.p
+        order, p = basis.order, basis.p
+        n = order.nvars
         unit = [1 << (_BITS * s) for s in range(n)]
-        pks = sorted((sum(unit[s] for s in c)
-                      for c in combinations_with_replacement(range(n), d)), reverse=True)
         top = d << (_BITS * n)
-        keys = [top - pk for pk in pks]
+        keys = sorted(map(order.moved, [top - sum(unit[s] for s in c) for c in
+                                        combinations_with_replacement(range(n), d)]))
+        pks = [top - (k & order._low) for k in keys]  # k & _low: the ring key
         width = _width(p, len(keys))
         cols = basis.columns[d] = (keys, pks, {k: j for j, k in enumerate(keys)}, width)
     return cols
@@ -407,10 +401,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     """
     basis = _Basis(order, p)
     pairs: list[tuple[int, ...]] = []  # (lcm degree, lcm key, i, j, lcm packing)
-    # every seed, S-polynomial and tail of a run over forms is a form
     n = order.nvars
-    forms = not order.drop and all(_degree(max(d), n) == _degree(min(d), n)
-                                   for d in inputs if d)
 
     def update(d: dict[int, int]) -> None:
         # Gebauer-Moeller installation of the Buchberger criteria.
@@ -448,8 +439,11 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
 
     seeds = [(_slot_sum(order.plain(max(d)), n), d) for d in inputs if d]  # (degree, f)
     seeds.sort(key=lambda s: (s[0], max(s[1])))
+    # every seed, S-polynomial and tail of a run over forms is a form
+    forms = not order.drop and all(_slot_sum(order.plain(min(f)), n) == deg
+                                   for deg, f in seeds)
 
-    zshift = _BITS * (n - 1)  # z's slot in the plain packing
+    zshift = _BITS * order.last  # z's slot in the plain packing
     zkey = order.unplain(1 << zshift)
     divided = False
     mu: dict[int, int] = {}
@@ -647,18 +641,6 @@ def _lift(f: Polynomial, target: PolynomialRing) -> Polynomial:
     return Polynomial(target, tuple(out))
 
 
-def _avoiding(elements, drop) -> list[Polynomial]:
-    """The elements none of whose terms involve a variable in drop.
-
-    Of a basis under a block order with drop dominant, these are the
-    elements whose lead avoids drop, and they generate the contraction.
-    A polynomial's first term is its degrevlex lead and cannot decide it.
-    """
-    mask = sum(_MASK << (_BITS * i) for i in drop)
-    return [g for g in elements
-            if not any(_unrev(k, g.ring.nvars) & mask for k, _ in g.packed)]
-
-
 def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     """Generators of the contraction to the subring without drop_vars.
 
@@ -678,8 +660,13 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
             drop.add(int(v))
     if not drop:
         return Ideal(ring, ideal.generators)
-    order = MonomialOrder(ring.nvars, tuple(sorted(drop)))
-    return Ideal(ring, _avoiding(buchberger_reduced(ideal, order).elements, drop))
+    order = MonomialOrder(ring.nvars, tuple(drop))
+    # a basis element whose lead weighs 0 avoids drop, since every term in a
+    # dropped variable weighs more; those elements generate the contraction
+    out, _ = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
+                               ring.prime, order)
+    return Ideal(ring, [_from_dict(d, ring, order) for d in out
+                        if not max(d) >> order._shift])
 
 
 def _keeping_basis(gb: GroebnerBasis, src: Ideal) -> Ideal:

@@ -363,10 +363,15 @@ def _vanishes_on_curve(gens, images) -> bool:
 
 
 def _sqrt_minus_one(p: int) -> int | None:
-    for x in range(2, p):
-        if (x * x + 1) % p == 0:
-            return x
-    return None
+    """The lesser root of x^2 + 1 over F_p, None when p % 4 != 1: for the
+    least non-residue c, c^((p-1)/4) is one (Euler's criterion)."""
+    if p % 4 != 1:
+        return None
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r = pow(c, (p - 1) // 4, p)
+    return min(r, p - r)
 
 
 def example_gallery(name: str, prime: int = 101) -> CaseReport:

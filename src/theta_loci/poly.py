@@ -79,19 +79,18 @@ _MASK = (1 << _BITS) - 1
 _MAXEXP = 1 << (_BITS - 1)  # exponents must stay below this for SWAR guards
 
 
-def _revkey(exps, positions) -> int:
-    """deg * B^k - sum(e_i * B^slot) over the given positions, the last one
-    in the most significant slot; integer order is degrevlex on them."""
+def _revkey(exps) -> int:
+    """The ring key of k exponents: deg * B^k minus their plain packing, in
+    which e_i fills slot i; integer order is degrevlex, z_k last."""
     deg = 0
     n = 0
-    for slot, i in enumerate(positions):
-        e = exps[i]
+    for slot, e in enumerate(exps):
         if not 0 <= e < _MAXEXP:
             raise UsageError(f"exponent too large: {e} (the bound is {_MAXEXP})"
                              if e > 0 else f"negative exponent {e}")
         deg += e
         n += e << (_BITS * slot)
-    return (deg << (_BITS * len(positions))) - n
+    return (deg << (_BITS * len(exps))) - n
 
 
 def _degree(key: int, k: int) -> int:
@@ -207,7 +206,7 @@ class PolynomialRing:
     def _key(self, exps: Sequence[int]) -> int:
         if len(exps) != self.nvars:
             raise UsageError("monomial width does not match ring")
-        return _revkey(exps, range(self.nvars))
+        return _revkey(exps)
 
     def _exps(self, key: int) -> tuple[int, ...]:
         pk = _unrev(key, self.nvars)

@@ -24,6 +24,7 @@ from itertools import combinations, permutations
 
 from .errors import UsageError
 from .multilinear import AlternatingVector, SplitMix64
+from .poly import _literal
 
 RANK_PRIME = (1 << 31) - 1  # Mersenne prime, comfortably above 1e9
 
@@ -343,9 +344,11 @@ def orbit_table():
 
 
 def parse_bracket_terms(text: str, prime: int = RANK_PRIME) -> AlternatingVector:
-    """Parse `[1,2,3]+[4,5,6]` (optional integer multipliers, `-` allowed)."""
-    pattern = re.compile(
-        r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?\[\s*(\d+)\s*,?\s*(\d+)\s*,?\s*(\d+)\s*\]")
+    """Parse `[1,2,3]+[4,5,6]` (optional integer multipliers, `-` allowed);
+    numbers are ASCII digits, indices apart by a comma or whitespace."""
+    sep = r"(?:\s*,\s*|\s+)"
+    pattern = re.compile(rf"\s*([+-])?\s*(?:([0-9]+)\s*\*\s*)?"
+                         rf"\[\s*([0-9]+){sep}([0-9]+){sep}([0-9]+)\s*\]")
     pos = 0
     coeffs: dict[tuple[int, int, int], int] = {}
     found = False
@@ -357,10 +360,10 @@ def parse_bracket_terms(text: str, prime: int = RANK_PRIME) -> AlternatingVector
             break
         found = True
         sign, mult, i, j, k = m.groups()
-        c = int(mult) if mult else 1
+        c = _literal(mult) if mult else 1
         if sign == "-":
             c = -c
-        key = tuple(sorted((int(i), int(j), int(k))))
+        key = tuple(sorted(map(_literal, (i, j, k))))
         if len(set(key)) != 3:
             raise UsageError(f"repeated index in [{i},{j},{k}]")
         coeffs[key] = (coeffs.get(key, 0) + c) % prime

@@ -11,11 +11,27 @@ I : J, I : J^2, ... that the next quotient leaves as it is, so the tests can
 hold saturate_by_ideal's intersection of per-generator saturations against it.
 intersection_by_elimination always takes the t-elimination, so the tests can
 hold ideal_intersection's containment shortcut against it.
+degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
+tests can hold the engine's packed keys against it.
 """
 
 from theta_loci.bott import _signed_length
 from theta_loci.errors import UsageError
 from theta_loci.groebner import Ideal, _contract_t, ideal_quotient
+
+
+def degrevlex_cmp(a, b) -> int:
+    """-1, 0 or +1 as exponent tuple a is below, equal to or above b.
+
+    Higher total degree wins; on ties the tuple with the smaller exponent
+    on the last differing variable (scanning from the last variable) is larger.
+    """
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:

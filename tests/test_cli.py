@@ -200,6 +200,9 @@ def test_bott_resolution_malformed(tmp_path, capsys):
 def test_vinberg_cli(capsys):
     assert main(["vinberg", "dim", "--terms", "[1,2,3]+[4,5,6]"]) == 0
     assert capsys.readouterr().out.strip() == "26"
+    assert main(["vinberg", "dim", "--terms", "[12,3]+[4,5,6]"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "'[12,3]" in out.err
     assert main(["vinberg", "table"]) == 0
     out = capsys.readouterr().out
     assert "A2+3A1" in out and " 35" in out

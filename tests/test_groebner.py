@@ -2,6 +2,7 @@
 intersection, quotient, and the reduced-basis invariants."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced,
                                  ideal_intersection, ideal_quotient,
                                  normal_form, saturate, saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
+
+from oracles import degrevlex_cmp
 
 
 @pytest.fixture
@@ -365,10 +368,20 @@ def test_elimination_order_blocks():
     order = MonomialOrder(3, drop=(0,))
     # any monomial with the dropped variable dominates any without
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
-    # the blocks keep the ring's slot layout: variable i in slot i
+    # every order keeps the ring's slot layout: variable i in slot i
     pk = 2 + (3 << 16) + (1 << 32)
-    assert order.plain(order.key((2, 3, 1))) == pk
-    assert order.unplain(pk) == order.key((2, 3, 1))
+    for order in (order, MonomialOrder(3), MonomialOrder(3, last=0)):
+        assert order.plain(order.key((2, 3, 1))) == pk
+        assert order.unplain(pk) == order.key((2, 3, 1))
+    # a two-variable drop block dominates, and each block is degrevlex
+    order = MonomialOrder(4, drop=(1, 3))
+    exps = list(product(range(3), repeat=4))
+    for a in exps:
+        for b in exps:
+            want = (degrevlex_cmp((a[1], a[3]), (b[1], b[3]))
+                    or degrevlex_cmp((a[0], a[2]), (b[0], b[2])))
+            got = order.key(a) - order.key(b)
+            assert (got > 0) - (got < 0) == want, (a, b)
 
 
 def test_eliminate_two_variables_twisted_cubic():

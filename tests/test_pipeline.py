@@ -9,8 +9,9 @@ import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.groebner import Ideal, hilbert
-from theta_loci.pipeline import (GALLERY, _is_intersection, example_gallery,
-                                 generator_profile, report_emit, run_case)
+from theta_loci.pipeline import (GALLERY, _is_intersection, _sqrt_minus_one,
+                                 example_gallery, generator_profile,
+                                 report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import _rank_mod_p
 
@@ -152,6 +153,19 @@ def test_gallery_membership_checks():
     assert verdicts["conic1_membership"] == "on curve"
     assert verdicts["conic2_membership"] == "on curve"
     assert verdicts["line_membership"] == "on curve"
+
+
+def test_sqrt_minus_one_is_the_scan_and_quick_at_any_prime():
+    """The cuspidal example's root of x^2 + 1 is the one a scan of F_p
+    finds first, and a large prime neither scans F_p nor loses the check."""
+    for p in range(2, 2000):
+        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+            scan = next((x for x in range(2, p) if (x * x + 1) % p == 0), None)
+            assert _sqrt_minus_one(p) == scan, p
+    rep = example_gallery("cuspidal", 2**61 - 1)  # 2^61 - 1 = 3 mod 4: no root
+    assert rep.status == "PASS" and "cusp_parameterization" not in rep.info
+    rep = example_gallery("cuspidal", 10**9 + 9)  # = 1 mod 4
+    assert rep.info["cusp_parameterization"] == "on curve"
 
 
 def test_unknown_names_raise():

@@ -223,3 +223,14 @@ def test_parse_bracket_terms():
         parse_bracket_terms("[1,2]")
     with pytest.raises(UsageError):
         parse_bracket_terms("[1,1,2]")
+    for text in ("[1,2,3]", "[1, 2, 3]", "[1 2 3]", " [ 1 ,2\t3 ] "):
+        assert parse_bracket_terms(text).coefficients == {(1, 2, 3): 1}, text
+    assert parse_bracket_terms("2*[1,2,3]-[4,5,6]").coefficients == \
+        {(1, 2, 3): 2, (4, 5, 6): RANK_PRIME - 1}
+    # indices need a separator, and digits are ASCII only
+    for text in ("[12,3]", "[1,23]", "[123]", "[1,,2,3]",
+                 "[\u0661,\u0662,\u0663]", "\u0662*[1,2,3]"):
+        with pytest.raises(UsageError, match="cannot parse"):
+            parse_bracket_terms(text)
+    with pytest.raises(UsageError, match="5000 digits"):
+        parse_bracket_terms("9" * 5000 + "*[1,2,3]")
