@@ -2,7 +2,7 @@
 
 Subpackages:
   poly        exact prime-field / polynomial arithmetic (degrevlex canonical form;
-              monomials are exponent tuples)
+              monomials packed into integer keys, exponent tuples at the API)
   groebner    Buchberger engine, elimination, saturation, Hilbert series
   multilinear skew matrices, Pfaffians, section-to-matrix constructions
   bott        Borel-Weil-Bott calculator (types A and C), Schur dimensions, Verlinde

@@ -1,12 +1,13 @@
 """Borel-Weil-Bott calculator (types A and C) and representation dimensions.
 
-The dotted action w.(a) = w(a + rho) - rho drives everything: add rho, decide
-vanishing by repeats (type A) or by zeros / repeated absolute values (type C),
-sort, and read off the cohomological degree as the length of the sorting
-(signed) permutation.  Lengths are counted as positive roots sent negative,
-which agrees with minimal word length in the generators s_1..s_{n-1} (adjacent
-swaps) and s_n (negate the last coordinate); the brute-force cross-check lives
-in the test suite.
+The dotted action w.(a) = w(a + rho) - rho drives everything, through one rule
+for both types (Bott's theorem): pair a + rho with every positive root.  A zero
+pairing means all cohomology vanishes; otherwise the cohomological degree is
+the number of negative pairings, which is the length of the (signed)
+permutation sorting a + rho, and the dominant weight is a + rho sorted (by
+absolute value in type C) minus rho.  The test suite holds the degree against
+minimal word lengths found by breadth-first search in the generators
+s_1..s_{n-1} (adjacent swaps) and s_n (negate the last coordinate).
 
 Line-bundle translation conventions:
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, starmap
 from math import comb, log2, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import UsageError
 
@@ -169,86 +170,71 @@ class BottOutcome:
     dimension: int | None = None
 
 
-def bott_type_a(alpha) -> BottOutcome:
-    """Dotted-action outcome for a length-N integer weight (GL_N)."""
+def rho(family: str, n: int) -> tuple[int, ...]:
+    """Half the sum of the positive roots: (n-1, ..., 0) for GL_n (family
+    'A'), (n, ..., 1) for Sp(2n) (family 'C')."""
+    if family not in ("A", "C"):
+        raise UsageError(f"family must be 'A' or 'C', got {family!r}")
+    top = n - 1 if family == "A" else n
+    return tuple(range(top, top - n, -1))
+
+
+def bott_outcome(family: str, alpha) -> BottOutcome:
+    """Dotted-action outcome for an integer weight of GL_N ('A') or Sp(2n) ('C').
+
+    v = alpha + rho is paired with each positive root: e_i - e_j (i < j), and
+    in type C also e_i + e_j and 2e_i.  A zero pairing means v is fixed by a
+    reflection and all cohomology vanishes; otherwise the degree is the number
+    of negative pairings, the length of the w taking v to the dominant chamber.
+    """
     alpha = tuple(int(x) for x in alpha)
     n = len(alpha)
-    rho = tuple(range(n - 1, -1, -1))
-    v = tuple(a + r for a, r in zip(alpha, rho))
-    if len(set(v)) != n:
+    shift = rho(family, n)
+    v = [a + r for a, r in zip(alpha, shift)]
+    if 0 in _pairings(family, v):
         return BottOutcome(vanishes=True)
-    length = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
-    dominant = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
-    return BottOutcome(False, length, dominant, schur_dim(dominant, n))
+    degree = sum(p < 0 for p in _pairings(family, v))
+    if family == "C":
+        v = [abs(x) for x in v]
+    dominant = tuple(x - r for x, r in zip(sorted(v, reverse=True), shift))
+    dim = schur_dim if family == "A" else weyl_dim_type_c
+    return BottOutcome(False, degree, dominant, dim(dominant, n))
 
 
-def _root_sent_negative(ca, a, cb, b) -> bool:
-    """Is ca*e_a + cb*e_b (a != b, ca, cb = +-1) a negative root of C_n?"""
-    if ca < 0 and cb < 0:
-        return True
-    if ca > 0 and cb > 0:
-        return False
-    # mixed signs: the root is +-(e_min - e_max); negative iff + sits higher
-    return (a if ca > 0 else b) > (b if ca > 0 else a)
+def _pairings(family: str, v):
+    """The pairings of v with the positive roots, one at a time (there are
+    about n^2 of them, too many to hold for a weight of 10^4 entries)."""
+    out = starmap(sub, combinations(v, 2))
+    if family == "C":
+        out = chain(out, starmap(add, combinations(v, 2)), v)
+    return out
 
 
-def _signed_length(pos, sgn) -> int:
-    """Positive roots of C_n sent negative by e_j -> sgn[j] e_{pos[j]}."""
-    n = len(pos)
-    length = 0
-    for i in range(n):
-        if sgn[i] < 0:
-            length += 1  # 2e_i
-        for j in range(i + 1, n):
-            if _root_sent_negative(sgn[i], pos[i], -sgn[j], pos[j]):
-                length += 1  # e_i - e_j
-            if _root_sent_negative(sgn[i], pos[i], sgn[j], pos[j]):
-                length += 1  # e_i + e_j
-    return length
-
-
-def signed_sort_length(v) -> int:
-    """Length of the signed permutation taking v to decreasing positive order.
-
-    Entries must be nonzero with distinct absolute values.  Counted as the
-    number of positive roots of C_n (e_i - e_j, e_i + e_j, 2e_i) sent to
-    negative roots, which equals the minimal word length in the generators
-    s_1..s_{n-1}, s_n.
-    """
-    n = len(v)
-    order = sorted(range(n), key=lambda j: -abs(v[j]))
-    pos = [0] * n
-    for rank, j in enumerate(order):
-        pos[j] = rank
-    sgn = [1 if v[j] > 0 else -1 for j in range(n)]
-    return _signed_length(pos, sgn)
+def bott_type_a(alpha) -> BottOutcome:
+    """Dotted-action outcome for a length-N integer weight (GL_N)."""
+    return bott_outcome("A", alpha)
 
 
 def bott_type_c(alpha) -> BottOutcome:
     """Dotted-action outcome for a length-n weight (Sp(2n))."""
-    alpha = tuple(int(x) for x in alpha)
-    n = len(alpha)
-    rho = tuple(range(n, 0, -1))
-    v = tuple(a + r for a, r in zip(alpha, rho))
-    if any(x == 0 for x in v) or len({abs(x) for x in v}) != n:
-        return BottOutcome(vanishes=True)
-    length = signed_sort_length(v)
-    dominant = tuple(x - r for x, r in
-                     zip(sorted((abs(x) for x in v), reverse=True), rho))
-    return BottOutcome(False, length, dominant, weyl_dim_type_c(dominant, n))
+    return bott_outcome("C", alpha)
 
 
 # ---------------------------------------------------------------------------
 # explicit Schur functor construction
 
 
-def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
+_SCHUR_MAX_DIM = 10_000
+
+
+def schur_module_rank(lam, n: int) -> int:
     """Rank of the explicit comultiply-then-multiply Schur map on C^n.
 
     Source: tensor product over columns j of wedge^{lam'_j} C^n.  Each column
     is expanded by alternation, the filled diagram is read off along rows, and
     each row is multiplied into a symmetric power.  The rank of the resulting
-    integer matrix is the dimension of the Schur module.
+    integer matrix is the dimension of the Schur module.  Source or target
+    dimensions above _SCHUR_MAX_DIM (10,000) are usage errors.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got n = {n}")
@@ -272,7 +258,7 @@ def schur_module_rank(lam, n: int, guard: int = 10_000) -> int:
         return tuple(rows)
 
     tgt_dim_bound = prod(comb(n + p - 1, p) for p in part.parts)  # dim S^p C^n
-    if src_dim > guard or tgt_dim_bound > guard:
+    if src_dim > _SCHUR_MAX_DIM or tgt_dim_bound > _SCHUR_MAX_DIM:
         raise UsageError("Schur construction exceeds the size guard")
 
     columns_signed = []
@@ -414,7 +400,7 @@ def cohomology_of_resolution(terms, space: Space) -> CohomologyTable:
     agg: dict[tuple[int, int], int] = {}
     for term in terms:
         mu = _translate_weight(term, space)
-        out = bott_type_a(mu) if space.family == "A" else bott_type_c(mu)
+        out = bott_outcome(space.family, mu)
         if out.vanishes:
             continue
         key = (term.h, out.degree)

@@ -219,7 +219,11 @@ def _load_resolution(path: str):
 
 
 def _cmd_bott(args) -> int:
-    if args.resolution_file:
+    if args.positional == "resolution":
+        if args.weight is not None:
+            raise InputError("bott resolution takes no --weight")
+        if args.resolution_file is None:
+            raise InputError("bott resolution needs --file")
         terms, space = _load_resolution(args.resolution_file)
         table = bott_mod.cohomology_of_resolution(terms, space)
         out = {
@@ -231,15 +235,14 @@ def _cmd_bott(args) -> int:
             out["h"] = list(table.entries)
         return _print(out)
 
+    if args.resolution_file is not None:
+        raise InputError("bott takes --file only as bott resolution --file")
     if args.weight is None:
         raise InputError("bott needs --weight (or resolution --file)")
     weight = _parse_int_list(args.weight, "--weight")
     if args.rho_added:
-        n = len(weight)
-        rho = list(range(n - 1, -1, -1)) if args.type == "A" else list(range(n, 0, -1))
-        weight = [w - r for w, r in zip(weight, rho)]
-    outcome = (bott_mod.bott_type_a(weight) if args.type == "A"
-               else bott_mod.bott_type_c(weight))
+        weight = [w - r for w, r in zip(weight, bott_mod.rho(args.type, len(weight)))]
+    outcome = bott_mod.bott_outcome(args.type, weight)
     if outcome.vanishes:
         out = {"vanishes": True}
     else:
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bott", help="dotted-action cohomology calculator")
     p.add_argument("positional", nargs="?", choices=("resolution",),
-                   help="'resolution' to process a term file")
+                   help="'resolution' reads a term file from --file; "
+                        "without it, bott reads --weight")
     p.add_argument("--type", choices=("A", "C"), default="A")
     p.add_argument("--weight", default=None)
     p.add_argument("--rho-added", action="store_true",

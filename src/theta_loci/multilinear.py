@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .errors import UsageError
 from .groebner import Ideal
-from .poly import Polynomial, PolynomialRing
+from .poly import Polynomial, PolynomialRing, PrimeField
 
 _M64 = (1 << 64) - 1
 
@@ -297,10 +297,12 @@ def random_section(case: str, seed: int, prime: int = 101):
     """Deterministic pseudo-random section for a named pipeline case.
 
     Coefficients are next64 mod p with index tuples consumed in lexicographic
-    order; identical (case, seed, prime) always gives identical output.
+    order; identical (case, seed, prime) always gives identical output.  A
+    modulus that is not prime is a usage error.
     """
     if case not in _CASE_INDICES:
         raise UsageError(f"unknown case {case!r}")
+    PrimeField(prime)  # refuses a modulus that is not prime before it divides
     rng = SplitMix64(seed)
     coeffs = {idx: rng.next64() % prime for idx in _CASE_INDICES[case]()}
     if case == "c5w25":

@@ -345,7 +345,8 @@ def orbit_table():
 
 def parse_bracket_terms(text: str, prime: int = RANK_PRIME) -> AlternatingVector:
     """Parse `[1,2,3]+[4,5,6]` (optional integer multipliers, `-` allowed);
-    numbers are ASCII digits, indices apart by a comma or whitespace."""
+    numbers are ASCII digits, indices apart by a comma or whitespace.  A
+    bracket [i,j,k] is the wedge e_i ^ e_j ^ e_k, so `[2,1,3]` is -[1,2,3]."""
     sep = r"(?:\s*,\s*|\s+)"
     pattern = re.compile(rf"\s*([+-])?\s*(?:([0-9]+)\s*\*\s*)?"
                          rf"\[\s*([0-9]+){sep}([0-9]+){sep}([0-9]+)\s*\]")
@@ -363,9 +364,12 @@ def parse_bracket_terms(text: str, prime: int = RANK_PRIME) -> AlternatingVector
         c = _literal(mult) if mult else 1
         if sign == "-":
             c = -c
-        key = tuple(sorted(map(_literal, (i, j, k))))
+        idx = tuple(map(_literal, (i, j, k)))
+        key = tuple(sorted(idx))
         if len(set(key)) != 3:
             raise UsageError(f"repeated index in [{i},{j},{k}]")
+        if sum(a > b for a, b in combinations(idx, 2)) % 2:
+            c = -c  # an odd sorting permutation
         coeffs[key] = (coeffs.get(key, 0) + c) % prime
         pos = m.end()
     if not found:

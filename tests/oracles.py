@@ -1,10 +1,10 @@
 """Brute-force oracles that only the tests use.
 
-The Bott calculator counts the length of a signed permutation as the number
-of positive roots it sends negative.  hyperoctahedral_word_lengths finds the
-minimal word lengths by breadth-first search over the hyperoctahedral group,
-and window_length reads the root count off a permutation in window notation,
-so the tests can hold the calculator's signed_sort_length against both.
+The Bott calculator reads the length of a signed permutation as the number
+of positive roots with which the weight pairs negatively.
+hyperoctahedral_word_lengths finds the minimal word lengths by breadth-first
+search over the hyperoctahedral group, so the tests can hold the degree of
+bott_type_c at w.rho - rho against the word length of w.
 
 saturate_by_iterated_quotient computes I : J^infty as the first of
 I : J, I : J^2, ... that the next quotient leaves as it is, so the tests can
@@ -15,8 +15,6 @@ degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
 tests can hold the engine's packed keys against it.
 """
 
-from theta_loci.bott import _signed_length
-from theta_loci.errors import UsageError
 from theta_loci.groebner import Ideal, _contract_t, ideal_quotient
 
 
@@ -61,19 +59,6 @@ def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:
                     nxt.append(u)
         frontier = nxt
     return dist
-
-
-def window_length(w: tuple[int, ...]) -> int:
-    """Root-count length of a signed permutation given in window notation.
-
-    w[j-1] = w(j) as a signed value; the linear action is e_j -> sgn e_{|w(j)|}.
-    """
-    n = len(w)
-    pos = [abs(w[j]) - 1 for j in range(n)]
-    if len(set(pos)) != n:
-        raise UsageError("not a permutation window")
-    sgn = [1 if w[j] > 0 else -1 for j in range(n)]
-    return _signed_length(pos, sgn)
 
 
 def saturate_by_iterated_quotient(a: Ideal, b: Ideal) -> Ideal:

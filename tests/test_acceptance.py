@@ -8,7 +8,7 @@ bounds; the implementation typically runs orders of magnitude faster.
 import random
 import time
 
-from theta_loci.bott import (cohomology_of_resolution, schur_dim,
+from theta_loci.bott import (bott_type_c, cohomology_of_resolution, schur_dim,
                              schur_module_rank, verlinde)
 from theta_loci.complexes import (GR36_BETTI_TOTALS,
                                   buchsbaum_eisenbud_numerator_terms,
@@ -22,7 +22,7 @@ from theta_loci.pipeline import GALLERY, example_gallery, run_case
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import enumerate_supports, orbit_table
 
-from oracles import hyperoctahedral_word_lengths, window_length
+from oracles import hyperoctahedral_word_lengths
 
 
 def _report(num, desc, ok, elapsed, budget):
@@ -165,10 +165,12 @@ def test_criterion_9_property_suites():
             m = SkewMatrix.from_upper(ring, n, upper)
             ok &= pfaffian(m) * pfaffian(m) == m.determinant()
 
-    # type C length formula vs brute-force word length, rank <= 3
+    # type C Bott degree of w.rho - rho vs brute-force word length of w, rank <= 3
     for n in (1, 2, 3):
-        dist = hyperoctahedral_word_lengths(n)
-        ok &= all(window_length(w) == d for w, d in dist.items())
+        for w, d in hyperoctahedral_word_lengths(n).items():
+            out = bott_type_c([(n + 1 - abs(x)) * (1 if x > 0 else -1) - (n - j)
+                               for j, x in enumerate(w)])
+            ok &= out.degree == d and out.dominant_weight == (0,) * n
 
     # explicit Schur construction vs Weyl's formula, all partitions in a 3x3 box
     for n in (1, 2, 3):

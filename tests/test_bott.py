@@ -9,16 +9,15 @@ import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.bott import (BottOutcome, Partition, ResolutionTerm, Space,
-                             bott_type_a, bott_type_c,
+                             bott_outcome, bott_type_a, bott_type_c,
                              cohomology_of_resolution, schur_dim,
-                             schur_module_rank, signed_sort_length, verlinde,
-                             weyl_dim_type_c)
+                             schur_module_rank, verlinde, weyl_dim_type_c)
 from theta_loci.complexes import (GR36_BETTI_TOTALS, gr36_betti_totals,
                                   koszul_complex_terms,
                                   submaximal_pfaffian_complex_p8,
                                   symplectic_codim4_complex_p7)
 
-from oracles import hyperoctahedral_word_lengths, window_length
+from oracles import hyperoctahedral_word_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +128,30 @@ def test_type_c_dominant_identity():
     out = bott_type_c((3, 2, 0))
     assert out.degree == 0 and out.dominant_weight == (3, 2, 0)
     assert out.dimension == weyl_dim_type_c((3, 2, 0), 3)
+    with pytest.raises(UsageError, match="'B'"):
+        bott_outcome("B", (3, 2, 0))
 
 
 def test_type_c_length_matches_brute_force():
-    """Root-count length == BFS word length for every element up to rank 4
-    (the calibration complexes live at rank 4; 384 elements)."""
+    """For every signed permutation w up to rank 4 (the calibration complexes
+    live at rank 4; 384 elements), alpha = w.rho - rho has degree the BFS word
+    length of w and dominant weight 0."""
     for n in (1, 2, 3, 4):
         dist = hyperoctahedral_word_lengths(n)
         assert len(dist) == 2 ** n * (1, 1, 2, 6, 24)[n]
         for w, d in dist.items():
-            assert window_length(w) == d
+            # entry j of w^-1.rho is sgn(w_j) rho_|w_j|, with rho_i = n + 1 - i;
+            # w^-1 has the length of w
+            alpha = [(n + 1 - abs(x)) * (1 if x > 0 else -1) - (n - j)
+                     for j, x in enumerate(w)]
+            out = bott_type_c(alpha)
+            assert out.degree == d, w
+            assert out.dominant_weight == (0,) * n, w
 
 
-def test_signed_sort_length_agrees_with_window():
+def test_type_c_degree_agrees_with_window():
     rng = random.Random(15)
+    dist = {n: hyperoctahedral_word_lengths(n) for n in range(1, 5)}
     for _ in range(50):
         n = rng.randrange(1, 5)
         vals = rng.sample(range(1, 10), n)
@@ -154,7 +163,8 @@ def test_signed_sort_length_agrees_with_window():
         for r, j in enumerate(order):
             pos[j] = r
         w = tuple((1 if v[j] > 0 else -1) * (pos[j] + 1) for j in range(n))
-        assert signed_sort_length(v) == window_length(w)
+        alpha = [x - (n - j) for j, x in enumerate(v)]  # v = alpha + rho
+        assert bott_type_c(alpha).degree == dist[n][w]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +296,10 @@ def test_schur_module_matches_hook_content():
 
 
 def test_schur_module_guard():
-    with pytest.raises(UsageError):
-        schur_module_rank((2, 1), 3, guard=2)
+    """(3, 3, 3) on C^6 maps into S^3 C^6 (x3), of dimension 56^3 = 175,616,
+    above the guard: refused before any matrix is built."""
+    with pytest.raises(UsageError, match="size guard"):
+        schur_module_rank((3, 3, 3), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import theta_loci
 from theta_loci.cli import main
+from theta_loci.pipeline import CASES
 
 
 def _refused(argv, value, capsys):
@@ -173,6 +174,27 @@ def test_bott_resolution_cli(tmp_path, capsys):
     assert out["h"] == [1, 0, 3, 0, 0, 0, 0, 0]
 
 
+def test_bott_mode_is_chosen_by_the_positional(tmp_path, capsys):
+    """bott resolution reads --file and refuses --weight; plain bott reads
+    --weight and refuses --file; each refusal is named, at exit 1."""
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps({"space": {"type": "A", "N": 3},
+                                "terms": [{"weight": [], "twist": 0, "h": 0}]}))
+    for argv, named in (
+            (["bott", "resolution", "--weight", "1,0"], "--weight"),
+            (["bott", "resolution", "--weight", "1,0", "--file", str(path)],
+             "--weight"),
+            (["bott", "resolution"], "--file"),
+            (["bott", "--weight", "1,0", "--file", str(path)], "--file"),
+            (["bott", "--file", str(path)], "--file"),
+            (["bott"], "--weight")):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and named in out.err, (argv, out.err)
+    assert main(["bott", "resolution", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["h"] == [1, 0, 0]
+
+
 def test_bott_resolution_malformed(tmp_path, capsys):
     space = {"type": "A", "N": 9}
     term = {"weight": [], "twist": 0, "h": 0}
@@ -200,6 +222,8 @@ def test_bott_resolution_malformed(tmp_path, capsys):
 def test_vinberg_cli(capsys):
     assert main(["vinberg", "dim", "--terms", "[1,2,3]+[4,5,6]"]) == 0
     assert capsys.readouterr().out.strip() == "26"
+    assert main(["vinberg", "dim", "--terms", "[1,2,3]+[2,1,3]"]) == 0
+    assert capsys.readouterr().out.strip() == "0"  # e123 - e123
     assert main(["vinberg", "dim", "--terms", "[12,3]+[4,5,6]"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "'[12,3]" in out.err
@@ -306,6 +330,17 @@ def test_run_cli_nongeneric_exit_2(capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "NONGENERIC"
+
+
+def test_non_prime_modulus_exit_1(capsys):
+    """A modulus that is not prime is a named error before any section is
+    drawn (0 once divided the draw), for every case and for the gallery."""
+    for prime in (-7, 0, 1, 4, 9, 2 ** 61):
+        runs = [["run", "--case", case] for case in CASES]
+        for argv in runs + [["example", "--name", "nodal"]]:
+            assert main(argv + [f"--prime={prime}"]) == 1, (argv, prime)
+            out = capsys.readouterr()
+            assert out.out == "" and f"modulus {prime} " in out.err, (argv, out.err)
 
 
 def test_example_cli(capsys):

@@ -234,3 +234,10 @@ def test_parse_bracket_terms():
             parse_bracket_terms(text)
     with pytest.raises(UsageError, match="5000 digits"):
         parse_bracket_terms("9" * 5000 + "*[1,2,3]")
+    # a bracket is a wedge product: an unsorted one carries the sign of the
+    # permutation sorting it
+    assert parse_bracket_terms("[2,1,3]").coefficients == {(1, 2, 3): RANK_PRIME - 1}
+    assert parse_bracket_terms("[3,1,2]").coefficients == {(1, 2, 3): 1}
+    for text, dim in (("[1,2,3]+[2,1,3]", 0), ("[2,1,3]", 13),
+                      ("-[3,2,1]+[4,5,6]", 26)):
+        assert orbit_dimension(parse_bracket_terms(text)) == dim, text
