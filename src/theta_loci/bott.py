@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product, starmap
+from itertools import chain, combinations, pairwise, permutations, product, starmap
 from math import comb, log2, prod
 from operator import add, mul, sub
 
@@ -36,59 +36,19 @@ from .errors import UsageError
 # partitions
 
 
-class Partition:
-    """Weakly decreasing nonnegative integers; trailing zeros stripped."""
+def _partition(lam) -> tuple[int, ...]:
+    """lam as weakly decreasing integers, trailing zeros stripped."""
+    lam = tuple(int(x) for x in lam)
+    if any(a < b for a, b in pairwise(lam)):
+        raise UsageError(f"{lam} is not weakly decreasing")
+    while lam and lam[-1] == 0:
+        lam = lam[:-1]
+    return lam
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts):
-        parts = tuple(int(x) for x in parts)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise UsageError(f"{parts} is not weakly decreasing")
-        if parts and parts[-1] < 0:
-            raise UsageError(f"{parts} has negative parts")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        self.parts = parts
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        return Partition(tuple(sum(1 for p in self.parts if p > j)
-                               for j in range(self.parts[0])))
-
-    def cells(self):
-        for i, p in enumerate(self.parts):
-            for j in range(p):
-                yield (i, j)
-
-    def content(self, cell) -> int:
-        i, j = cell
-        return j - i
-
-    def hook(self, cell) -> int:
-        i, j = cell
-        conj = self.conjugate().parts
-        return self.parts[i] - j + conj[j] - i - 1
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The column lengths of a partition's diagram."""
+    return tuple(sum(p > j for p in parts) for j in range(parts[0] if parts else 0))
 
 
 def schur_dim(lam, n: int) -> int:
@@ -102,21 +62,17 @@ def schur_dim(lam, n: int) -> int:
     power first (which leaves the rank fixed), and partitions with more than
     n rows give 0.
     """
-    lam = tuple(int(x) for x in lam)
     if n < 0:
         raise UsageError(f"n must be nonnegative, got n = {n}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise UsageError(f"{lam} is not weakly decreasing")
-    if len(lam) > n:
-        if any(x != 0 for x in lam[n:]) or any(x < 0 for x in lam):
-            return 0
-        lam = lam[:n]
+    lam = _partition(lam)
+    if len(lam) > n:  # a nonzero row below row n
+        return 0
     if lam and lam[-1] < 0:
         if len(lam) < n:
-            raise UsageError("negative parts require a full-length weight")
-        shift = lam[-1]
-        lam = tuple(x - shift for x in lam)
-    lam = Partition(lam).parts
+            raise UsageError(f"negative parts require a full-length weight, "
+                             f"got {lam} at n = {n}")
+        low = lam[-1]
+        lam = tuple(x - low for x in lam if x > low)
     l = len(lam)
     up = Counter(comb(lam[i] + n - 1 - i, n - l) for i in range(l))
     down = Counter(comb(n - 1 - i, n - l) for i in range(l))
@@ -238,11 +194,13 @@ def schur_module_rank(lam, n: int) -> int:
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got n = {n}")
-    part = Partition(lam)
-    conj = part.conjugate().parts
+    parts = _partition(lam)
+    if parts and parts[-1] < 0:
+        raise UsageError(f"{parts} has negative parts")
+    conj = _conjugate(parts)
     if any(c > n for c in conj):
         return 0
-    if not part.parts:
+    if not parts:
         return 1
 
     cols = [list(combinations(range(n), c)) for c in conj]
@@ -252,12 +210,12 @@ def schur_module_rank(lam, n: int) -> int:
     def row_monomials(filling):
         # filling: per column, a tuple of entries top to bottom
         rows = []
-        for r in range(len(part.parts)):
-            row = tuple(filling[j][r] for j in range(part.parts[r]))
+        for r in range(len(parts)):
+            row = tuple(filling[j][r] for j in range(parts[r]))
             rows.append(tuple(sorted(row)))
         return tuple(rows)
 
-    tgt_dim_bound = prod(comb(n + p - 1, p) for p in part.parts)  # dim S^p C^n
+    tgt_dim_bound = prod(comb(n + p - 1, p) for p in parts)  # dim S^p C^n
     if src_dim > _SCHUR_MAX_DIM or tgt_dim_bound > _SCHUR_MAX_DIM:
         raise UsageError("Schur construction exceeds the size guard")
 
@@ -358,11 +316,6 @@ class CohomologyTable:
     contributions: tuple[tuple[int, int, int], ...]  # (h, cohomological degree, dim)
     degeneration_verified: bool
 
-    def entry(self, i: int) -> int:
-        if self.entries is None:
-            raise UsageError("table not certified")
-        return self.entries[i] if 0 <= i < len(self.entries) else 0
-
 
 def _translate_weight(term: ResolutionTerm, space: Space) -> tuple[int, ...]:
     lam = tuple(int(x) for x in term.weight)
@@ -455,7 +408,7 @@ def verlinde(g: int, k: int) -> int:
     (2^4096), are usage errors, decided before any matrix is built.
     """
     if g < 2 or k < 1:
-        raise UsageError("need genus >= 2 and level >= 1")
+        raise UsageError(f"need genus >= 2 and level >= 1, got g = {g}, k = {k}")
     if k > _VERLINDE_MAX_LEVEL:
         raise UsageError(f"level {k} is above the largest level, {_VERLINDE_MAX_LEVEL}")
     if log2(k + 1) + 3 * (g - 1) * log2((k + 2) / 2) > _VERLINDE_MAX_BITS:

@@ -218,10 +218,18 @@ def _load_resolution(path: str):
     return terms, bott_mod.Space(family, space_data[name])
 
 
+def _refuse_unread(mode: str, given) -> None:
+    """A named error for the first (option, value) in given that was set,
+    since mode never reads it."""
+    for option, value in given:
+        if value is not None and value is not False:
+            raise InputError(f"{mode} takes no {option}")
+
+
 def _cmd_bott(args) -> int:
     if args.positional == "resolution":
-        if args.weight is not None:
-            raise InputError("bott resolution takes no --weight")
+        _refuse_unread("bott resolution", (("--weight", args.weight), ("--type", args.type),
+                                           ("--rho-added", args.rho_added)))
         if args.resolution_file is None:
             raise InputError("bott resolution needs --file")
         terms, space = _load_resolution(args.resolution_file)
@@ -240,9 +248,10 @@ def _cmd_bott(args) -> int:
     if args.weight is None:
         raise InputError("bott needs --weight (or resolution --file)")
     weight = _parse_int_list(args.weight, "--weight")
+    family = args.type or "A"
     if args.rho_added:
-        weight = [w - r for w, r in zip(weight, bott_mod.rho(args.type, len(weight)))]
-    outcome = bott_mod.bott_outcome(args.type, weight)
+        weight = [w - r for w, r in zip(weight, bott_mod.rho(family, len(weight)))]
+    outcome = bott_mod.bott_outcome(family, weight)
     if outcome.vanishes:
         out = {"vanishes": True}
     else:
@@ -254,6 +263,7 @@ def _cmd_bott(args) -> int:
 
 def _cmd_vinberg(args) -> int:
     if args.action == "table":
+        _refuse_unread("vinberg table", (("--terms", args.terms), ("--type", args.type)))
         rows = vinberg_mod.orbit_table()
         lines = [f"{'label':>5}  {'type':<8}{'dim':>4}  representative"]
         for rec in rows:
@@ -264,11 +274,16 @@ def _cmd_vinberg(args) -> int:
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     if args.action == "dim":
+        _refuse_unread("vinberg dim", (("--type", args.type),))
         if not args.terms:
             raise InputError("vinberg dim needs --terms")
-        v = vinberg_mod.parse_bracket_terms(args.terms)
+        try:
+            v = vinberg_mod.parse_bracket_terms(args.terms)
+        except UsageError as exc:
+            raise InputError(f"--terms invalid: {exc}") from exc
         return _print(vinberg_mod.orbit_dimension(v))
     if args.action == "supports":
+        _refuse_unread("vinberg supports", (("--terms", args.terms),))
         if not args.type:
             raise InputError("vinberg supports needs --type")
         count, reps = vinberg_mod.enumerate_supports(args.type)
@@ -328,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("positional", nargs="?", choices=("resolution",),
                    help="'resolution' reads a term file from --file; "
                         "without it, bott reads --weight")
-    p.add_argument("--type", choices=("A", "C"), default="A")
+    p.add_argument("--type", choices=("A", "C"), default=None,
+                   help="root system of the weight (default: A)")
     p.add_argument("--weight", default=None)
     p.add_argument("--rho-added", action="store_true",
                    help="the input weight already includes rho")

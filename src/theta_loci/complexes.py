@@ -1,21 +1,16 @@
-"""Term data for the locally free resolutions and Betti tables used here.
+"""Term data of the Pfaffian resolutions behind the projective-space cases.
 
-These are classical complexes (Koszul, Buchsbaum-Eisenbud,
-Goto-Jozefiak-Tachibana, Jozefiak-Pragacz) together with their
-specializations to the two projective-space pipelines, plus the Betti
-partitions of the cone over Gr(3,6).
+buchsbaum_eisenbud_numerator_terms gives the codimension-3 resolution of the
+4x4 Pfaffians of a generic 5x5 skew matrix (Buchsbaum-Eisenbud), whose
+Hilbert numerator the pipeline checks c5w25 against.
+submaximal_pfaffian_complex_p8 gives the Bott-side resolution of O_X for the
+rank-6 locus on P^8, the w39 surface.  The other classical resolutions the
+tests hold the engine against live in tests/resolutions.py.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from .bott import ResolutionTerm, Space
-
-
-def koszul_numerator_terms(n: int):
-    """(rank, twist, h) data of the Koszul complex on n variables."""
-    return [(comb(n, i), i, i) for i in range(n + 1)]
 
 
 def buchsbaum_eisenbud_numerator_terms(n: int):
@@ -25,31 +20,6 @@ def buchsbaum_eisenbud_numerator_terms(n: int):
     """
     N = 2 * n + 1
     return [(1, 0, 0), (N, n, 1), (N, n + 1, 2), (1, 2 * n + 1, 3)]
-
-
-def goto_jozefiak_tachibana_numerator_terms(N: int):
-    """(rank, twist, h) of the submaximal-minors resolution of a symmetric matrix."""
-    s2 = N * (N + 1) // 2
-    return [(1, 0, 0), (s2, N - 1, 1), (N * N - 1, N, 2),
-            (N * (N - 1) // 2, N + 1, 3)]
-
-
-def jozefiak_pragacz_numerator_terms(n: int):
-    """(rank, twist, h) of the codimension-6 sub-Pfaffian resolution, size 2n."""
-    from .bott import schur_dim
-    N = 2 * n
-    w2 = comb(N, 2)
-    s2 = N * (N + 1) // 2
-    hook = schur_dim((2,) + (1,) * (N - 2), N)  # dim S_{2,1^{N-2}} C^N
-    return [(1, 0, 0), (comb(N, N - 2), n - 1, 1), (hook, n, 2),
-            (s2, n + 1, 3), (s2, 2 * n - 1, 3), (hook, 2 * n, 4),
-            (w2, 2 * n + 1, 5), (1, 3 * n, 6)]
-
-
-def koszul_complex_terms(N: int):
-    """Koszul terms on P^{N-1} as trivial bundles: mult C(N,i), twist -i at h=i."""
-    return [ResolutionTerm(weight=(), twist=-i, h=i, mult=comb(N, i))
-            for i in range(N + 1)]
 
 
 def submaximal_pfaffian_complex_p8():
@@ -69,46 +39,3 @@ def submaximal_pfaffian_complex_p8():
         ResolutionTerm((1, 1, 0, 0, 0, 0, 0, 0), -7, 5),
         ResolutionTerm((), -9, 6),
     ]
-
-
-def symplectic_codim4_complex_p7():
-    """Structure-sheaf resolution of the codimension-4 symplectic locus on P^7.
-
-    Weights are symplectic partitions on the rank-6 subquotient bundle;
-    type C, n = 4.  The resolved subvariety is a Kummer-type threefold for
-    generic sections.
-    """
-    return Space("C", 4), [
-        ResolutionTerm((), 0, 0),
-        ResolutionTerm((1, 1, 1), -3, 1),
-        ResolutionTerm((2,), -4, 2),
-        ResolutionTerm((1, 1), -6, 3),
-        ResolutionTerm((1,), -7, 4),
-    ]
-
-
-# Betti-table partitions of the coordinate ring of the cone over Gr(3,6)
-# inside P(wedge^3 C^6), char 0; one list of (partition, multiplicity) per
-# homological degree.  Dimension totals reconstruct the printed Betti row.
-GR36_BETTI_PARTITIONS = (
-    (((), 1),),
-    (((2, 1, 1, 1, 1), 1),),
-    (((2, 2, 2, 2, 1), 1), ((3, 2, 1, 1, 1, 1), 1)),
-    (((3, 3, 2, 2, 1, 1), 1), ((3, 3, 3, 3, 3), 1), ((5, 2, 2, 2, 2, 2), 1)),
-    (((4, 4, 4, 2, 2, 2), 1), ((4, 4, 3, 3, 3, 1), 1), ((5, 3, 3, 3, 2, 2), 1)),
-    (((5, 4, 4, 3, 3, 2), 2),),
-    (((5, 5, 4, 4, 4, 2), 1), ((5, 5, 5, 3, 3, 3), 1), ((6, 4, 4, 4, 3, 3), 1)),
-    (((7, 4, 4, 4, 4, 4), 1), ((5, 5, 5, 5, 5, 2), 1), ((6, 6, 5, 5, 4, 4), 1)),
-    (((6, 6, 6, 6, 5, 4), 1), ((7, 6, 5, 5, 5, 5), 1)),
-    (((7, 6, 6, 6, 6, 5), 1),),
-    (((7, 7, 7, 7, 7, 7), 1),),
-)
-
-GR36_BETTI_TOTALS = (1, 35, 140, 301, 735, 1080, 735, 301, 140, 35, 1)
-
-
-def gr36_betti_totals():
-    """Betti totals recomputed from Schur dimensions at n = 6."""
-    from .bott import schur_dim
-    return tuple(sum(m * schur_dim(p, 6) for p, m in row)
-                 for row in GR36_BETTI_PARTITIONS)

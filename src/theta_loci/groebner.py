@@ -616,7 +616,7 @@ def buchberger_reduced(ideal_or_polys, order: MonomialOrder | None = None) -> Gr
 
 
 # ---------------------------------------------------------------------------
-# elimination, saturation, intersection, quotient
+# elimination, saturation, intersection
 
 
 def _extend_ring(ring: PolynomialRing, extra: str) -> PolynomialRing:
@@ -781,39 +781,6 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
         return b
     return _contract_t(a.ring, lambda t, up: [t * up(g) for g in a.generators]
                        + [(1 - t) * up(g) for g in b.generators])
-
-
-def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g, asserting exact divisibility."""
-    ring = f.ring
-    order = MonomialOrder(ring.nvars)
-    gk, gc = g.packed[0]
-    ginv = ring.field.inverse(gc)
-    q = ring.zero()
-    r = f
-    while not r.is_zero():
-        k, c = r.packed[0]
-        if not order.divides(order.plain(gk), order.plain(k)):
-            raise UsageError("division is not exact")
-        term = Polynomial(ring, ((k - gk, (c * ginv) % ring.prime),))
-        q = q + term
-        r = r - term * g
-    return q
-
-
-def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
-    """I : J = cap_g (I cap (g)) / g over the generators g of J."""
-    if a.ring != b.ring:
-        raise UsageError("ideals from different rings")
-    ring = a.ring
-    if b.is_zero():
-        return Ideal(ring, (ring.one(),))
-
-    def part(g: Polynomial) -> Ideal:
-        meet = ideal_intersection(a, Ideal(ring, (g,)))
-        return Ideal(ring, [_exact_divide(h, g) for h in meet.generators])
-
-    return _meet(map(part, b.generators))
 
 
 def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:

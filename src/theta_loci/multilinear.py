@@ -92,27 +92,6 @@ class SkewMatrix:
     def pfaffian(self) -> Polynomial:
         return pfaffian(self)
 
-    def determinant(self) -> Polynomial:
-        """Cofactor expansion along the first row (independent of the Pfaffian path)."""
-        return _det_cofactor(self.ring, self.entries)
-
-
-def _det_cofactor(ring, rows) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return rows[0][0]
-    total = ring.zero()
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = _det_cofactor(ring, minor)
-        total = total + (a * cof if j % 2 == 0 else -(a * cof))
-    return total
-
 
 def pfaffian(matrix: SkewMatrix) -> Polynomial:
     """Pfaffian; odd sizes give 0.  Convention: Pf([[0,a],[-a,0]]) = a.

@@ -87,9 +87,6 @@ class SupportConfig:
     def triples(self) -> tuple[tuple[int, ...], ...]:
         return self.a2_pair + self.a1_triples
 
-    def vector(self, prime: int = RANK_PRIME) -> AlternatingVector:
-        return AlternatingVector(7, 3, prime, {t: 1 for t in self.triples()})
-
 
 def _config_key(a2_idx, a1_idx):
     return (tuple(sorted(a2_idx)), tuple(sorted(a1_idx)))
@@ -205,25 +202,6 @@ def enumerate_supports(target_type: str):
         raise UsageError(f"unknown support type {target_type!r}")
     reps = _genuine_classes()[target_type]
     return len(reps), reps
-
-
-def four_a1_completion_count(base) -> int:
-    """Number of triples completing a 3A_1 base to a genuine 4A_1 support.
-
-    Counted before S_7 dedup; a completion is discarded when the completed
-    configuration fails the dimension certificate (generic orbit dimension
-    not equal to that of the kept 4A_1 class).
-    """
-    base_idx = tuple(_TRIPLE_INDEX[tuple(t)] for t in base)
-    kept = enumerate_supports("4A1")[1]
-    target_dims = {_generic_dimension(c) for c in kept}
-    count = 0
-    for (ext,) in _a1_extensions(base_idx, 1):
-        config = SupportConfig("4A1", (),
-                               tuple(TRIPLES[i] for i in base_idx) + (TRIPLES[ext],))
-        if _generic_dimension(config) in target_dims:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Brute-force oracles that only the tests use.
+"""Brute-force oracles and reference implementations that only the tests use.
 
 The Bott calculator reads the length of a signed permutation as the number
 of positive roots with which the weight pairs negatively.
@@ -9,13 +9,22 @@ bott_type_c at w.rho - rho against the word length of w.
 saturate_by_iterated_quotient computes I : J^infty as the first of
 I : J, I : J^2, ... that the next quotient leaves as it is, so the tests can
 hold saturate_by_ideal's intersection of per-generator saturations against it.
-intersection_by_elimination always takes the t-elimination, so the tests can
-hold ideal_intersection's containment shortcut against it.
+ideal_quotient forms each I : J by dividing I cap (g) by g, and
+intersection_by_elimination always takes the t-elimination, so neither runs
+the containment shortcut of ideal_intersection that the tests check.
 degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
 tests can hold the engine's packed keys against it.
+cofactor_determinant expands a determinant along its first row, a path that
+shares nothing with the Pfaffian recursion, so the tests can check Pf^2 = det.
+hook_content_dim is the hook content formula for the rank of a Schur
+functor, so the tests can hold schur_dim's Weyl product against it.
 """
 
-from theta_loci.groebner import Ideal, _contract_t, ideal_quotient
+from fractions import Fraction
+from functools import reduce
+
+from theta_loci.groebner import Ideal, _contract_t
+from theta_loci.poly import Polynomial
 
 
 def degrevlex_cmp(a, b) -> int:
@@ -76,3 +85,74 @@ def intersection_by_elimination(a: Ideal, b: Ideal) -> Ideal:
     """I cap J = (t*I + (1 - t)*J) cap R, eliminating t."""
     return _contract_t(a.ring, lambda t, up: [t * up(g) for g in a.generators]
                        + [(1 - t) * up(g) for g in b.generators])
+
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g by long division on leading terms; ValueError unless exact."""
+    ring = f.ring
+    g_exps, g_coeff = g.terms[0]
+    g_inv = ring.field.inverse(g_coeff)
+    q = ring.zero()
+    while not f.is_zero():
+        f_exps, f_coeff = f.terms[0]
+        shift = tuple(a - b for a, b in zip(f_exps, g_exps))
+        if min(shift) < 0:
+            raise ValueError(f"{g} does not divide {f}")
+        term = ring.monomial(shift, f_coeff * g_inv % ring.prime)
+        q = q + term
+        f = f - term * g
+    return q
+
+
+def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
+    """I : J = cap_g (I cap (g)) / g over the generators g of J."""
+    ring = a.ring
+    if b.is_zero():
+        return Ideal(ring, (ring.one(),))
+
+    def part(g: Polynomial) -> Ideal:
+        meet = intersection_by_elimination(a, Ideal(ring, (g,)))
+        return Ideal(ring, [exact_divide(h, g) for h in meet.generators])
+
+    return reduce(intersection_by_elimination, map(part, b.generators))
+
+
+def cofactor_determinant(matrix) -> Polynomial:
+    """det of a square matrix of polynomials (a SkewMatrix or any object
+    with ring and entries), by cofactor expansion along the first row."""
+
+    def det(rows):
+        if not rows:
+            return matrix.ring.one()
+        total = matrix.ring.zero()
+        for j, a in enumerate(rows[0]):
+            if not a.is_zero():
+                cof = det([row[:j] + row[j + 1:] for row in rows[1:]])
+                total = total + (a * cof if j % 2 == 0 else -(a * cof))
+        return total
+
+    return det([tuple(row) for row in matrix.entries])
+
+
+def cells(lam):
+    """The cells (row, column) of a partition's diagram, row by row."""
+    return [(i, j) for i, row in enumerate(lam) for j in range(row)]
+
+
+def content(cell) -> int:
+    i, j = cell
+    return j - i
+
+
+def hook(lam, cell) -> int:
+    """Cells to the right of cell, below it, and cell itself."""
+    i, j = cell
+    return (lam[i] - j - 1) + sum(1 for row in lam[i + 1:] if row > j) + 1
+
+
+def hook_content_dim(lam, n: int) -> Fraction:
+    """prod over the cells of lam of (n + content) / hook."""
+    out = Fraction(1)
+    for cell in cells(lam):
+        out *= Fraction(n + content(cell), hook(lam, cell))
+    return out

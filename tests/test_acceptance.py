@@ -10,11 +10,8 @@ import time
 
 from theta_loci.bott import (bott_type_c, cohomology_of_resolution, schur_dim,
                              schur_module_rank, verlinde)
-from theta_loci.complexes import (GR36_BETTI_TOTALS,
-                                  buchsbaum_eisenbud_numerator_terms,
-                                  gr36_betti_totals,
-                                  submaximal_pfaffian_complex_p8,
-                                  symplectic_codim4_complex_p7)
+from theta_loci.complexes import (buchsbaum_eisenbud_numerator_terms,
+                                  submaximal_pfaffian_complex_p8)
 from theta_loci.groebner import (Ideal, buchberger_reduced, normal_form,
                                  resolution_hilbert_numerator)
 from theta_loci.multilinear import SkewMatrix, pfaffian
@@ -22,7 +19,9 @@ from theta_loci.pipeline import GALLERY, example_gallery, run_case
 from theta_loci.poly import PolynomialRing
 from theta_loci.vinberg import enumerate_supports, orbit_table
 
-from oracles import hyperoctahedral_word_lengths
+from oracles import cofactor_determinant, hyperoctahedral_word_lengths
+from resolutions import (GR36_BETTI_TOTALS, gr36_betti_totals,
+                         symplectic_codim4_complex_p7)
 
 
 def _report(num, desc, ok, elapsed, budget):
@@ -163,7 +162,7 @@ def test_criterion_9_property_suites():
                         d[tuple(exps)] = rng.randrange(101)
                     upper[(i, j)] = ring.from_exponent_dict(d)
             m = SkewMatrix.from_upper(ring, n, upper)
-            ok &= pfaffian(m) * pfaffian(m) == m.determinant()
+            ok &= pfaffian(m) * pfaffian(m) == cofactor_determinant(m)
 
     # type C Bott degree of w.rho - rho vs brute-force word length of w, rank <= 3
     for n in (1, 2, 3):

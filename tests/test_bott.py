@@ -1,23 +1,22 @@
 """Dotted action, dimension formulas, resolution cohomology, Verlinde."""
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
 
 from theta_loci.errors import UsageError
-from theta_loci.bott import (BottOutcome, Partition, ResolutionTerm, Space,
+from theta_loci.bott import (BottOutcome, ResolutionTerm, Space, _conjugate,
                              bott_outcome, bott_type_a, bott_type_c,
                              cohomology_of_resolution, schur_dim,
                              schur_module_rank, verlinde, weyl_dim_type_c)
-from theta_loci.complexes import (GR36_BETTI_TOTALS, gr36_betti_totals,
-                                  koszul_complex_terms,
-                                  submaximal_pfaffian_complex_p8,
-                                  symplectic_codim4_complex_p7)
+from theta_loci.complexes import submaximal_pfaffian_complex_p8
 
-from oracles import hyperoctahedral_word_lengths
+from oracles import (cells, content, hook, hook_content_dim,
+                     hyperoctahedral_word_lengths)
+from resolutions import (GR36_BETTI_TOTALS, gr36_betti_totals,
+                         koszul_complex_terms, symplectic_codim4_complex_p7)
 
 
 # ---------------------------------------------------------------------------
@@ -25,17 +24,19 @@ from oracles import hyperoctahedral_word_lengths
 
 
 def test_partition_accessors():
-    lam = Partition((4, 3, 1))
-    assert lam.conjugate().parts == (3, 2, 2, 1)
-    assert lam.conjugate().conjugate() == lam
-    contents = [lam.content(c) for c in lam.cells()]
+    """schur_module_rank's conjugate, and the cells, contents and hooks of
+    the hook content oracle."""
+    lam = (4, 3, 1)
+    assert _conjugate(lam) == (3, 2, 2, 1)
+    assert _conjugate(_conjugate(lam)) == lam
+    contents = [content(c) for c in cells(lam)]
     assert contents == [0, 1, 2, 3, -1, 0, 1, -2]
-    hooks = [lam.hook(c) for c in lam.cells()]
+    hooks = [hook(lam, c) for c in cells(lam)]
     assert hooks == [6, 4, 3, 1, 4, 2, 1, 1]
     # hook sum consistency per cell against the direct formula
-    conj = lam.conjugate().parts
-    for (i, j) in lam.cells():
-        assert lam.hook((i, j)) == lam.parts[i] + conj[j] - i - j - 1
+    conj = _conjugate(lam)
+    for (i, j) in cells(lam):
+        assert hook(lam, (i, j)) == lam[i] + conj[j] - i - j - 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +197,10 @@ def test_schur_dim_weyl_formula():
     n = 10 ** 9
     assert schur_dim((3, 2), n) == n * n * (n + 1) * (n + 2) * (n - 1) // 24
 
-    def hook_content(lam, n):
-        part = Partition(lam)
-        out = Fraction(1)
-        for cell in part.cells():
-            out *= Fraction(n + part.content(cell), part.hook(cell))
-        return out
-
     for n in range(7):
         for rows in range(7):
             for lam in combinations_with_replacement(range(5, 0, -1), rows):
-                assert schur_dim(lam, n) == hook_content(lam, n), (lam, n)
+                assert schur_dim(lam, n) == hook_content_dim(lam, n), (lam, n)
 
 
 def test_schur_dim_counts_ssyt():
@@ -250,11 +244,11 @@ def test_schur_module_construct_examples():
 def test_schur_module_image_expansion():
     """The image of a repeated-column source vector has the 4-term pattern
     collapsed to coefficients (1, -2, 1) on three distinct row monomials."""
-    from theta_loci.bott import _expand_columns, Partition
+    from theta_loci.bott import _expand_columns
     from itertools import permutations as perms
 
-    lam = Partition((3, 2))
-    conj = lam.conjugate().parts  # (2, 2, 1)
+    lam = (3, 2)
+    conj = _conjugate(lam)  # (2, 2, 1)
     # source vector (e1^e2) (x) (e1^e2) (x) e1 over C^2
     columns_signed = []
     for c in conj:
@@ -273,7 +267,7 @@ def test_schur_module_image_expansion():
     for filled, sign in _expand_columns(columns_signed, chosen):
         rows = []
         for r in range(2):
-            row = tuple(sorted(filled[j][r] for j in range(lam.parts[r])))
+            row = tuple(sorted(filled[j][r] for j in range(lam[r])))
             rows.append(row)
         key = tuple(rows)
         image[key] = image.get(key, 0) + sign

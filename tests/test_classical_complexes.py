@@ -6,15 +6,16 @@ resolution length (perfection)."""
 import random
 from itertools import combinations
 
-from theta_loci.complexes import (buchsbaum_eisenbud_numerator_terms,
-                                  goto_jozefiak_tachibana_numerator_terms,
-                                  jozefiak_pragacz_numerator_terms,
-                                  koszul_numerator_terms)
+from theta_loci.complexes import buchsbaum_eisenbud_numerator_terms
 from theta_loci.groebner import (Ideal, _hilbert_function, hilbert,
                                  resolution_hilbert_numerator)
 from theta_loci.multilinear import (SkewMatrix, pfaffian_ideal,
                                     random_section, w39_matrix)
 from theta_loci.poly import PolynomialRing
+
+from resolutions import (goto_jozefiak_tachibana_numerator_terms,
+                         jozefiak_pragacz_numerator_terms,
+                         koszul_numerator_terms)
 
 
 def _generic_skew(n: int) -> SkewMatrix:

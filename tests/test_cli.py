@@ -175,8 +175,10 @@ def test_bott_resolution_cli(tmp_path, capsys):
 
 
 def test_bott_mode_is_chosen_by_the_positional(tmp_path, capsys):
-    """bott resolution reads --file and refuses --weight; plain bott reads
-    --weight and refuses --file; each refusal is named, at exit 1."""
+    """bott resolution reads --file and refuses --weight, --type (the type
+    comes from the file) and --rho-added; plain bott reads --weight, as type
+    A unless --type says otherwise, and refuses --file; each refusal is
+    named, at exit 1."""
     path = tmp_path / "terms.json"
     path.write_text(json.dumps({"space": {"type": "A", "N": 3},
                                 "terms": [{"weight": [], "twist": 0, "h": 0}]}))
@@ -184,6 +186,10 @@ def test_bott_mode_is_chosen_by_the_positional(tmp_path, capsys):
             (["bott", "resolution", "--weight", "1,0"], "--weight"),
             (["bott", "resolution", "--weight", "1,0", "--file", str(path)],
              "--weight"),
+            (["bott", "resolution", "--file", str(path), "--type", "A"], "--type"),
+            (["bott", "resolution", "--file", str(path), "--type", "C"], "--type"),
+            (["bott", "resolution", "--file", str(path), "--rho-added"],
+             "--rho-added"),
             (["bott", "resolution"], "--file"),
             (["bott", "--weight", "1,0", "--file", str(path)], "--file"),
             (["bott", "--file", str(path)], "--file"),
@@ -193,6 +199,12 @@ def test_bott_mode_is_chosen_by_the_positional(tmp_path, capsys):
         assert out.out == "" and named in out.err, (argv, out.err)
     assert main(["bott", "resolution", "--file", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["h"] == [1, 0, 0]
+    outputs = []
+    for family in ([], ["--type", "A"], ["--type", "C"]):
+        assert main(["bott", "--weight", "0,2,0"] + family) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert outputs[0]["dimension"] == 3 and outputs[2]["dimension"] == 14
 
 
 def test_bott_resolution_malformed(tmp_path, capsys):
@@ -238,6 +250,16 @@ def test_vinberg_cli(capsys):
     assert out["count"] == 1
     assert out["representatives"] == [
         [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7], [3, 6, 7]]]
+    # an option the action never reads is a named error, not ignored
+    for argv, named in ((["vinberg", "table", "--terms", "[1,2,3]"], "--terms"),
+                        (["vinberg", "table", "--type", "3A1"], "--type"),
+                        (["vinberg", "dim", "--terms", "[1,2,3]", "--type", "3A1"],
+                         "--type"),
+                        (["vinberg", "supports", "--type", "3A1", "--terms", "[1,2,3]"],
+                         "--terms")):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and f"vinberg {argv[1]} takes no {named}" in out.err, out.err
 
 
 def test_bott_type_c_cli(capsys):

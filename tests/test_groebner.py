@@ -9,11 +9,11 @@ import pytest
 from theta_loci.errors import UsageError
 from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced,
                                  eliminate, generator_profile,
-                                 ideal_intersection, ideal_quotient,
-                                 normal_form, saturate, saturate_by_ideal)
+                                 ideal_intersection, normal_form, saturate,
+                                 saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
 
-from oracles import degrevlex_cmp
+from oracles import degrevlex_cmp, ideal_quotient
 
 
 @pytest.fixture

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from theta_loci.errors import UsageError
-from theta_loci.complexes import (buchsbaum_eisenbud_numerator_terms,
-                                  goto_jozefiak_tachibana_numerator_terms,
-                                  jozefiak_pragacz_numerator_terms,
-                                  koszul_numerator_terms)
+from theta_loci.complexes import buchsbaum_eisenbud_numerator_terms
 from theta_loci.groebner import (Ideal, UnivariatePolynomial, hilbert,
                                  resolution_hilbert_numerator)
 from theta_loci.multilinear import c5w25_matrix, pfaffian_ideal, random_section
 from theta_loci.groebner import saturate
 from theta_loci.poly import PolynomialRing
+
+from resolutions import (goto_jozefiak_tachibana_numerator_terms,
+                         jozefiak_pragacz_numerator_terms,
+                         koszul_numerator_terms)
 
 
 def test_zero_ideal():

@@ -1,0 +1,76 @@
+"""src/ holds only what the product runs.
+
+Every module-level function, class and constant of theta_loci is referenced
+by name somewhere in src/ or bench/ outside its own definition, or is public
+through theta_loci.__all__.  Reference implementations that only the tests
+use live under tests/ (oracles.py, resolutions.py), not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import theta_loci
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "theta_loci"
+
+# name -> why it stays in src/ without a caller there
+ALLOWED = {
+    "submaximal_pfaffian_complex_p8": "ROADMAP item 8 gives it a pipeline caller",
+}
+
+
+def _defined(tree: ast.Module):
+    """(name, node) for each module-level def, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier node mentions: names, attributes, and string
+    constants spelling an identifier (bench/spans.py looks names up by
+    string)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def _unreferenced() -> set[str]:
+    """Module-level names of src/theta_loci with no reference in src/ or
+    bench/ outside their own definition, and not in __all__."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    mentions = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    out = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for name, own in _defined(tree):
+            if name.startswith("__") or name in theta_loci.__all__:
+                continue
+            if not any(name in names for node, names in mentions if node is not own):
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_src_name_has_a_caller_or_is_public():
+    unreferenced = _unreferenced()
+    allowed = {f"complexes.{name}" for name in ALLOWED}
+    assert unreferenced - allowed == set(), \
+        f"only tests reach these; move them to tests/: {sorted(unreferenced - allowed)}"
+    assert allowed <= unreferenced, \
+        f"these now have a caller; drop them from ALLOWED: {sorted(allowed - unreferenced)}"

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from theta_loci.errors import UsageError
-from theta_loci.multilinear import AlternatingVector
-from theta_loci.vinberg import (ORBITS, RANK_PRIME, SUPPORT_TYPES,
-                                enumerate_supports, four_a1_completion_count,
-                                orbit_dimension, orbit_table,
-                                parse_bracket_terms, triple_pairing)
+from theta_loci.multilinear import AlternatingVector, SplitMix64
+from theta_loci.vinberg import (ORBITS, RANK_PRIME, SUPPORT_TYPES, TRIPLES,
+                                enumerate_supports, orbit_dimension,
+                                orbit_table, parse_bracket_terms,
+                                triple_pairing)
 
 
 def test_triple_pairing_examples():
@@ -90,8 +90,25 @@ def test_gram_condition_of_representatives():
 
 
 def test_four_a1_completion_counts():
-    assert four_a1_completion_count(((1, 2, 3), (1, 4, 5), (1, 6, 7))) == 8
-    assert four_a1_completion_count(((1, 2, 3), (1, 4, 5), (2, 4, 6))) == 3
+    """Triples completing a 3A_1 base to a genuine 4A_1 support, counted
+    before the S_7 dedup, by brute force: a candidate pairs to 0 with each
+    base triple, and it counts when base + candidate has the generic orbit
+    dimension of a kept 4A_1 class, with coefficients drawn as the dimension
+    certificate draws them."""
+
+    def generic_dimension(triples):
+        rng = SplitMix64(0x5EED_0001)
+        coeffs = {t: 1 + rng.next64() % (RANK_PRIME - 1) for t in triples}
+        return orbit_dimension(AlternatingVector(7, 3, RANK_PRIME, coeffs))
+
+    kept = {generic_dimension(c.triples()) for c in enumerate_supports("4A1")[1]}
+
+    def completions(base):
+        return sum(generic_dimension(base + (t,)) in kept for t in TRIPLES
+                   if all(triple_pairing(t, b) == 0 for b in base))
+
+    assert completions(((1, 2, 3), (1, 4, 5), (1, 6, 7))) == 8
+    assert completions(((1, 2, 3), (1, 4, 5), (2, 4, 6))) == 3
 
 
 def test_orbit_dimension_examples():
