@@ -687,7 +687,8 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
 
     A basis of I under that order that is already cached and has no element
     divisible by z_i is a basis of the saturation.  Otherwise one engine run
-    over the generators divides each new element by the power of z_i in its
+    over the generators, or over a cached basis of I under any order when
+    that is shorter, divides each new element by the power of z_i in its
     lead as it is found (divide_last in _buchberger_dicts; Bayer-Stillman
     1987).  That run counts mu only when it divided nothing; after a division
     generator_profile counts it, if it is ever read.
@@ -698,7 +699,9 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     zmask = _MASK << (_BITS * i)
     if gb is None or any(all(_unrev(k, n) & zmask for k, _ in g.packed)
                          for g in gb.elements):
-        out, mu = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
+        start = min([ideal.generators] + [b.elements for b in ideal._gb_cache.values()],
+                    key=len)
+        out, mu = _buchberger_dicts([_to_dict(g, order) for g in start],
                                     ring.prime, order, divide_last=True)
         gb = GroebnerBasis(ring, order.descriptor,
                            tuple(_from_dict(d, ring, order) for d in out), mu)

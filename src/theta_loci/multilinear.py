@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .errors import UsageError
 from .groebner import Ideal
-from .poly import Polynomial, PolynomialRing, PrimeField
+from .poly import _MAXEXP, Polynomial, PolynomialRing, PrimeField, _degree
 
 _M64 = (1 << 64) - 1
 
@@ -43,10 +43,12 @@ class SplitMix64:
 
 
 class SkewMatrix:
-    """Square antisymmetric matrix of polynomials; diagonal zero enforced.
+    """Square antisymmetric matrix of polynomials of one ring; diagonal zero
+    enforced.
 
     Instances are immutable apart from an internal memo of principal
-    sub-Pfaffians, keyed by the bitmask of their row indices.
+    sub-Pfaffians, keyed by the bitmask of their row indices.  Each holds
+    {ring key: coefficient in [1, p)}, the form of Polynomial.packed.
     """
 
     __slots__ = ("ring", "size", "entries", "_pf_memo")
@@ -56,6 +58,10 @@ class SkewMatrix:
         for row in entries:
             if len(row) != n:
                 raise UsageError("matrix is not square")
+        for i, row in enumerate(entries):
+            for j, a in enumerate(row):
+                if not isinstance(a, Polynomial) or a.ring != ring:
+                    raise UsageError(f"entry ({i},{j}) is not a polynomial of {ring!r}")
         for i in range(n):
             if not entries[i][i].is_zero():
                 raise UsageError(f"nonzero diagonal entry at {i}")
@@ -65,7 +71,7 @@ class SkewMatrix:
         self.ring = ring
         self.size = n
         self.entries = tuple(tuple(row) for row in entries)
-        self._pf_memo: dict[int, Polynomial] = {}
+        self._pf_memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
     @classmethod
     def from_upper(cls, ring: PolynomialRing, size: int, upper) -> "SkewMatrix":
@@ -103,31 +109,47 @@ def pfaffian(matrix: SkewMatrix) -> Polynomial:
     """
     if matrix.size % 2:
         return matrix.ring.zero()
-    return _sub_pfaffian(matrix, (1 << matrix.size) - 1)
+    return matrix.ring._from_keys(_sub_pfaffian(matrix, (1 << matrix.size) - 1))
 
 
-def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> Polynomial:
-    """Pfaffian of the principal submatrix on the indices set in mask."""
+def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> dict[int, int]:
+    """Pfaffian of the principal submatrix on the indices set in mask, as
+    {ring key: coefficient in [1, p)}.
+
+    A term of an entry times a sub-Pfaffian is a key sum, as in
+    Polynomial.__mul__; a minus sign is the coefficient p - c.  Coefficients
+    are reduced mod p once, when the sub-Pfaffian is complete.
+    """
     memo = matrix._pf_memo
     got = memo.get(mask)
     if got is not None:
         return got
     ring = matrix.ring
-    if mask == 0:
-        return ring.one()
+    p, n = ring.prime, ring.nvars
     idx = [i for i in range(matrix.size) if mask & (1 << i)]
     first = idx[0]
     row = matrix.entries[first]
-    total = ring.zero()
-    sign = 1  # position 2 in the sorted index list carries +
+    total: dict[int, int] = {}
+    negate = False  # position 2 in the sorted index list carries +
     for j in idx[1:]:
-        a = row[j]
-        if not a.is_zero():
-            term = a * _sub_pfaffian(matrix, mask & ~(1 << first) & ~(1 << j))
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    memo[mask] = total
-    return total
+        a = row[j].packed
+        if a:
+            sub = _sub_pfaffian(matrix, mask & ~(1 << first) & ~(1 << j)).items()
+            for k1, c1 in a:
+                if negate:
+                    c1 = p - c1
+                for k2, c2 in sub:
+                    k = k1 + k2
+                    total[k] = total.get(k, 0) + c1 * c2
+        negate = not negate
+    if total and _degree(max(total), n) >= _MAXEXP:
+        # only then can an exponent reach _MAXEXP, which _key rejects; the
+        # sums of two exponents below it fit their slot
+        for k in total:
+            ring._key(ring._exps(k))
+    out = {k: c % p for k, c in total.items() if c % p}
+    memo[mask] = out
+    return out
 
 
 def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
@@ -140,7 +162,7 @@ def pfaffian_ideal(matrix: SkewMatrix, size: int) -> Ideal:
         raise UsageError("submatrix size exceeds matrix size")
     pfs = [_sub_pfaffian(matrix, sum(1 << i for i in s))
            for s in combinations(range(matrix.size), size)]
-    return Ideal(matrix.ring, [f for f in pfs if not f.is_zero()])
+    return Ideal(matrix.ring, [matrix.ring._from_keys(d) for d in pfs if d])
 
 
 # ---------------------------------------------------------------------------

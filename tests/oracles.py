@@ -16,12 +16,15 @@ degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
 tests can hold the engine's packed keys against it.
 cofactor_determinant expands a determinant along its first row, a path that
 shares nothing with the Pfaffian recursion, so the tests can check Pf^2 = det.
+matching_pfaffian sums over perfect matchings, each signed by its number of
+crossing pairs, so the tests can check the Pfaffian itself, sign included.
 hook_content_dim is the hook content formula for the rank of a Schur
 functor, so the tests can hold schur_dim's Weyl product against it.
 """
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 from theta_loci.groebner import Ideal, _contract_t
 from theta_loci.poly import Polynomial
@@ -132,6 +135,36 @@ def cofactor_determinant(matrix) -> Polynomial:
         return total
 
     return det([tuple(row) for row in matrix.entries])
+
+
+def _matchings(rows):
+    """The perfect matchings of an increasing tuple, as tuples of pairs."""
+    if not rows:
+        yield ()
+        return
+    for k in range(1, len(rows)):
+        rest = rows[1:k] + rows[k + 1:]
+        for m in _matchings(rest):
+            yield ((rows[0], rows[k]),) + m
+
+
+def matching_pfaffian(matrix, rows=None) -> Polynomial:
+    """Pf of the principal submatrix on rows (all rows by default): the sum
+    over the perfect matchings of the product of their entries (i, j), i < j,
+    times -1 to the number of crossing pairs a < c < b < d."""
+    rows = tuple(range(matrix.size) if rows is None else sorted(rows))
+    ring = matrix.ring
+    total = ring.zero()
+    if len(rows) % 2:
+        return total
+    for pairs in _matchings(rows):
+        term = ring.one()
+        for i, j in pairs:
+            term = term * matrix.entries[i][j]
+        crossings = sum(1 for (a, b), (c, d) in combinations(sorted(pairs), 2)
+                        if a < c < b < d)
+        total = total + (-term if crossings % 2 else term)
+    return total
 
 
 def cells(lam):

@@ -11,7 +11,7 @@ from theta_loci.multilinear import (AlternatingVector, SkewMatrix, SplitMix64,
                                     random_section, w39_matrix, w39_ring)
 from theta_loci.poly import PolynomialRing
 
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, matching_pfaffian
 
 
 def test_skew_construction_validated():
@@ -23,6 +23,25 @@ def test_skew_construction_validated():
         SkewMatrix(ring, [[zero, a], [a, zero]])
     with pytest.raises(UsageError):
         SkewMatrix(ring, [[a, a], [-a, zero]])
+
+
+def test_skew_matrix_refuses_entries_outside_its_ring():
+    """Every entry is a Polynomial of the matrix's own ring; the first one
+    that is not is named."""
+    ring = PolynomialRing(prime=101, nvars=3)
+    x, y, _ = ring.gens()
+    zero = ring.zero()
+    for other in (PolynomialRing(prime=32003, nvars=3),
+                  PolynomialRing(prime=101, nvars=5)):
+        w, o = other.gens()[0], other.zero()
+        with pytest.raises(UsageError, match=r"entry \(0,0\) is not a polynomial"):
+            SkewMatrix(ring, [[o, w], [-w, o]])
+        with pytest.raises(UsageError, match=r"entry \(1,2\) is not a polynomial"):
+            SkewMatrix(ring, [[zero, x, y], [-x, zero, w], [-y, -w, zero]])
+    with pytest.raises(UsageError, match=r"entry \(0,0\) is not a polynomial"):
+        SkewMatrix(ring, [[0, 1], [-1, 0]])
+    with pytest.raises(UsageError, match=r"entry \(0,1\) is not a polynomial"):
+        SkewMatrix(ring, [[zero, 1], [-1, zero]])
 
 
 def test_pfaffian_convention_anchor():
@@ -87,6 +106,54 @@ def test_pfaffian_permutation_sign():
                   if sigma[i] > sigma[j])
         got = pfaffian(m.submatrix(sigma))
         assert got == (base if inv % 2 == 0 else -base)
+
+
+def _random_form(ring, degree, rng):
+    """Up to three random terms of one degree; zero about a fifth of the time."""
+    p = ring.prime
+    if rng.randrange(5) == 0:
+        return ring.zero()
+    d = {}
+    for _ in range(3):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        d[tuple(exps)] = rng.randrange(p)
+    return ring.from_exponent_dict(d)
+
+
+@pytest.mark.parametrize("prime", [101, 32003, 2 ** 61 - 1])
+def test_pfaffians_match_the_matching_sum(prime):
+    """pfaffian and pfaffian_ideal of every even size agree with the sum
+    over perfect matchings, on sizes 0-8 of linear and quadratic forms."""
+    rng = random.Random(prime)
+    ring = PolynomialRing(prime=prime, nvars=4)
+    for degree in (1, 2):
+        for n in range(9):
+            upper = {(i, j): _random_form(ring, degree, rng)
+                     for i in range(n) for j in range(i + 1, n)}
+            m = SkewMatrix.from_upper(ring, n, upper)
+            assert pfaffian(m) == matching_pfaffian(m)
+            m = SkewMatrix.from_upper(ring, n, upper)
+            for size in range(0, n + 1, 2):
+                expected = [matching_pfaffian(m, c)
+                            for c in combinations(range(n), size)]
+                assert pfaffian_ideal(m, size).generators == \
+                    tuple(f for f in expected if not f.is_zero())
+
+
+def test_pfaffian_exponent_guard():
+    """An exponent that reaches 2^15 is refused through either entry point,
+    as Polynomial.__mul__ refuses it; one just below the bound is kept."""
+    ring = PolynomialRing(prime=101, variables=("x",))
+    x = ring.gens()[0]
+    for read in (pfaffian, lambda m: pfaffian_ideal(m, 4)):
+        m = SkewMatrix.from_upper(ring, 4, {(0, 1): x ** 2 ** 14, (2, 3): x ** 2 ** 14})
+        with pytest.raises(UsageError, match="exponent too large"):
+            read(m)
+    m = SkewMatrix.from_upper(ring, 4, {(0, 1): x ** 2 ** 14, (2, 3): x ** (2 ** 14 - 1)})
+    assert pfaffian(m) == x ** (2 ** 15 - 1)
+    assert pfaffian_ideal(m, 4).generators == (x ** (2 ** 15 - 1),)
 
 
 def test_pfaffian_ideal_counts():

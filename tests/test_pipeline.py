@@ -208,20 +208,24 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     only that one takes a run pruned by a lead quota.
     The saturations met contain one another, which their cached bases show,
     and the recombination is certified by Hilbert series, so no run takes a
-    block elimination order."""
+    block elimination order.
+    The eight dividing runs that saturate the sum of the two components
+    start from its 7-element degrevlex basis, not its 22 generators."""
     import theta_loci.groebner as groebner
 
     runs = []
     engine = groebner._buchberger_dicts
 
     def counted(inputs, p, order, **kwargs):
-        runs.append(("quota" in kwargs, order.descriptor))
+        runs.append(("quota" in kwargs, order.descriptor,
+                     len(inputs) if kwargs.get("divide_last") else None))
         return engine(inputs, p, order, **kwargs)
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
-    assert (len(runs), sum(quota for quota, _ in runs)) == (20, 1)
-    assert [d for _, d in runs if d.startswith("eliminate")] == []
+    assert (len(runs), sum(quota for quota, _, _ in runs)) == (20, 1)
+    assert [d for _, d, _ in runs if d.startswith("eliminate")] == []
+    assert [n for _, _, n in runs if n is not None] == [28] + [24] * 6 + [7] * 8
 
 
 def test_recombination_certificate_sees_a_smaller_ideal():
