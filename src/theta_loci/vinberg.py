@@ -10,9 +10,11 @@ reduces to matching pairings):
   size 1, also with the A_2 triples;
 * the two simple roots of an A_2 pair to -1: disjoint triples.
 
-Configurations are classified up to the S_7 action on indices by exact
-canonical-form minimization over all 5040 permutations.  Orbit dimensions are
-ranks of the infinitesimal gl_7 action, computed over a large prime field.
+Configurations are classified up to the S_7 action on indices: a class is
+the closure of one configuration under the transposition (1 2) and the
+7-cycle (1 2 ... 7), which generate S_7, and its representative is the least
+element of that orbit.  Orbit dimensions are ranks of the infinitesimal gl_7
+action, computed over a large prime field.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import UsageError
 from .multilinear import AlternatingVector, SplitMix64
@@ -30,6 +32,19 @@ RANK_PRIME = (1 << 31) - 1  # Mersenne prime, comfortably above 1e9
 
 TRIPLES = tuple(combinations(range(1, 8), 3))
 _TRIPLE_INDEX = {t: i for i, t in enumerate(TRIPLES)}
+_MASKS = tuple(sum(1 << x for x in t) for t in TRIPLES)  # bit x set for x in t
+# _ORTHO[i]: bitset of the triples meeting triple i in exactly one element
+_ORTHO = tuple(sum(1 << j for j, n in enumerate(_MASKS) if (m & n).bit_count() == 1)
+               for m in _MASKS)
+
+
+def _index_map(sigma) -> tuple[int, ...]:
+    """The map on triple indices induced by x -> sigma[x - 1] on 1..7."""
+    return tuple(_TRIPLE_INDEX[tuple(sorted(sigma[x - 1] for x in t))] for t in TRIPLES)
+
+
+# the transposition (1 2) and the 7-cycle (1 2 ... 7), which generate S_7
+_GENERATORS = (_index_map((2, 1, 3, 4, 5, 6, 7)), _index_map((2, 3, 4, 5, 6, 7, 1)))
 
 SUPPORT_TYPES = ("A1", "2A1", "3A1", "4A1", "A2", "A2+A1", "A2+2A1", "A2+3A1")
 
@@ -42,18 +57,6 @@ _TYPE_SHAPE = {
 def triple_pairing(s, t) -> int:
     """Invariant pairing of weight vectors: |S cap T| - 1."""
     return len(set(s) & set(t)) - 1
-
-
-@cache
-def _perm_table():
-    """For each of the 5040 permutations, the induced map on triple indices."""
-    table = []
-    for sigma in permutations(range(1, 8)):
-        row = [0] * len(TRIPLES)
-        for i, t in enumerate(TRIPLES):
-            row[i] = _TRIPLE_INDEX[tuple(sorted(sigma[x - 1] for x in t))]
-        table.append(tuple(row))
-    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -93,47 +96,55 @@ def _config_key(a2_idx, a1_idx):
 
 
 def _orbit(key) -> set[tuple]:
-    """The S_7 orbit of a configuration key, one image per permutation."""
-    a2_idx, a1_idx = key
-    return {(tuple(sorted(row[i] for i in a2_idx)),
-             tuple(sorted(row[i] for i in a1_idx))) for row in _perm_table()}
+    """The S_7 orbit of a configuration key: its closure under _GENERATORS."""
+    orbit = {key}
+    frontier = [key]
+    while frontier:
+        a2_idx, a1_idx = frontier.pop()
+        for g in _GENERATORS:
+            image = (tuple(sorted(g[i] for i in a2_idx)),
+                     tuple(sorted(g[i] for i in a1_idx)))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def _a1_extensions(base_idx, count):
     """All sorted index tuples of `count` extra triples pairwise meeting in
     one element, each also meeting every base triple in one element."""
-    candidates = [i for i in range(len(TRIPLES))
-                  if all(triple_pairing(TRIPLES[i], TRIPLES[b]) == 0
-                         for b in base_idx)]
+    allowed = (1 << len(TRIPLES)) - 1
+    for b in base_idx:
+        allowed &= _ORTHO[b]
     out = []
 
-    def rec(start, chosen):
+    def rec(allowed, chosen):
         if len(chosen) == count:
-            out.append(tuple(chosen))
+            out.append(chosen)
             return
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            if all(triple_pairing(TRIPLES[c], TRIPLES[j]) == 0 for j in chosen):
-                chosen.append(c)
-                rec(i + 1, chosen)
-                chosen.pop()
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low  # what is left lies above the chosen index
+            c = low.bit_length() - 1
+            rec(allowed & _ORTHO[c], chosen + (c,))
 
-    rec(0, [])
+    rec(allowed, ())
     return out
 
 
 def _gram_classes(target_type: str):
     """Gram-compatible configurations of one type, up to S_7 (no completeness).
 
-    Classes are found by orbit walking: each unvisited configuration is
-    expanded through all 5040 permutations at once, so the canonical
-    minimization runs once per class rather than once per raw tuple.
+    Classes are found by orbit walking: each unvisited configuration grows
+    into its orbit by closure under the two generators of S_7, so each orbit
+    is walked once, at two images per element, and its least element is the
+    class representative.
     """
     n_a2, n_a1 = _TYPE_SHAPE[target_type]
     raw = []
     if n_a2:
         for i, j in combinations(range(len(TRIPLES)), 2):
-            if triple_pairing(TRIPLES[i], TRIPLES[j]) == -1:
+            if not _MASKS[i] & _MASKS[j]:  # disjoint: pairing -1
                 for ext in _a1_extensions((i, j), n_a1):
                     raw.append(_config_key((i, j), ext))
     else:
@@ -147,9 +158,9 @@ def _gram_classes(target_type: str):
             continue
         orbit = _orbit(key0)
         visited |= orbit
-        best = min(orbit)
-        if best not in raw_set:
+        if not orbit <= raw_set:
             raise UsageError("orbit walk left the candidate set")  # unreachable
+        best = min(orbit)
         classes[best] = SupportConfig(
             target_type,
             tuple(TRIPLES[i] for i in best[0]),
@@ -194,9 +205,10 @@ def _genuine_classes() -> dict[str, list[SupportConfig]]:
 def enumerate_supports(target_type: str):
     """Support configurations of the target type up to the S_7 action.
 
-    Returns (class_count, representatives) from canonical-form minimization
-    over all 5040 permutations, with non-supports removed by the dimension
-    certificate (see _genuine_classes).
+    Returns (class_count, representatives), each the least element of its
+    orbit under the closure of two generators of S_7 (see _gram_classes),
+    with non-supports removed by the dimension certificate (see
+    _genuine_classes).
     """
     if target_type not in _TYPE_SHAPE:
         raise UsageError(f"unknown support type {target_type!r}")

@@ -20,14 +20,17 @@ matching_pfaffian sums over perfect matchings, each signed by its number of
 crossing pairs, so the tests can check the Pfaffian itself, sign included.
 hook_content_dim is the hook content formula for the rank of a Schur
 functor, so the tests can hold schur_dim's Weyl product against it.
+s7_orbit maps a vinberg configuration key through all 5040 permutations of
+1..7, so the tests can hold the generator closure of vinberg._orbit against it.
 """
 
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from functools import cache, reduce
+from itertools import combinations, permutations
 
 from theta_loci.groebner import Ideal, _contract_t
 from theta_loci.poly import Polynomial
+from theta_loci.vinberg import _TRIPLE_INDEX, TRIPLES
 
 
 def degrevlex_cmp(a, b) -> int:
@@ -189,3 +192,20 @@ def hook_content_dim(lam, n: int) -> Fraction:
     for cell in cells(lam):
         out *= Fraction(n + content(cell), hook(lam, cell))
     return out
+
+
+@cache
+def _s7_index_maps():
+    """For each of the 5040 permutations of 1..7, the induced map on triple
+    indices."""
+    return tuple(tuple(_TRIPLE_INDEX[tuple(sorted(sigma[x - 1] for x in t))]
+                       for t in TRIPLES)
+                 for sigma in permutations(range(1, 8)))
+
+
+def s7_orbit(key) -> set[tuple]:
+    """The S_7 orbit of a configuration key (a2 indices, a1 indices), one
+    image per permutation."""
+    a2_idx, a1_idx = key
+    return {(tuple(sorted(row[i] for i in a2_idx)),
+             tuple(sorted(row[i] for i in a1_idx))) for row in _s7_index_maps()}

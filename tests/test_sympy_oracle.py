@@ -5,7 +5,9 @@ saturate(I, z_i) of a homogeneous I takes one engine run that divides new
 elements by z_i; sympy's answer is the contraction of a lex basis of
 I + (t*z_i - 1) with t first.  Reduced degrevlex bases of dense forms send
 nearly every normal form through _normal_form_dense; sympy's grevlex basis
-is the reference.  Both sides compare reduced, monic bases.
+is the reference.  Bases under MonomialOrder(n, last=i) are held against
+sympy's grevlex on the variables permuted so that z_i comes last.  Both
+sides compare reduced, monic bases.
 """
 
 import random
@@ -16,7 +18,7 @@ import sympy as sp
 from sympy.polys.groebnertools import groebner as ring_groebner
 
 import theta_loci.groebner as groebner
-from theta_loci.groebner import Ideal, buchberger_reduced, saturate
+from theta_loci.groebner import Ideal, MonomialOrder, buchberger_reduced, saturate
 from theta_loci.poly import PolynomialRing
 
 PRIMES = [101, 32003, 2 ** 31 - 1, 2 ** 61 - 1]
@@ -102,3 +104,23 @@ def test_dense_bases_against_sympy(prime, monkeypatch):
         assert rows
         assert ours == set(ring_groebner([sring.from_dict(dict(g.terms)) for g in gens],
                                          sring))
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_last_variable_orders_against_sympy(prime):
+    """Reduced bases of dense quadrics under degrevlex with z_i last, for
+    every i, against sympy's grevlex on the variables z_k (k != i), then z_i."""
+    for n, count in ((4, 3), (5, 4)):
+        rng = random.Random(prime * 11 + n + count)
+        ring = PolynomialRing(prime=prime, nvars=n)
+        gens = [_dense_form(ring, 2, rng) for _ in range(count)]
+        sring = _grevlex(n, prime)
+        for i in range(n):
+            perm = [k for k in range(n) if k != i] + [i]
+
+            def permuted(g):
+                return sring.from_dict({tuple(e[k] for k in perm): c for e, c in g.terms})
+
+            basis = buchberger_reduced(Ideal(ring, gens), MonomialOrder(n, last=i))
+            assert {permuted(g) for g in basis.elements} == \
+                set(ring_groebner([permuted(g) for g in gens], sring)), (n, i)

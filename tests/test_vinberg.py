@@ -1,15 +1,19 @@
 """Triple pairings, support enumeration, orbit dimensions, the ten-orbit table."""
 
 import random
+from functools import cache
+from itertools import combinations
 
 import pytest
 
+from oracles import s7_orbit
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import AlternatingVector, SplitMix64
-from theta_loci.vinberg import (ORBITS, RANK_PRIME, SUPPORT_TYPES, TRIPLES,
-                                enumerate_supports, orbit_dimension,
-                                orbit_table, parse_bracket_terms,
-                                triple_pairing)
+from theta_loci.vinberg import (_MASKS, _ORTHO, _TRIPLE_INDEX, _TYPE_SHAPE,
+                                ORBITS, RANK_PRIME, SUPPORT_TYPES, TRIPLES,
+                                _gram_classes, _orbit, enumerate_supports,
+                                orbit_dimension, orbit_table,
+                                parse_bracket_terms, triple_pairing)
 
 
 def test_triple_pairing_examples():
@@ -44,30 +48,102 @@ def test_enumerate_counts():
 
 
 def test_enumerate_representatives():
-    _, reps = enumerate_supports("3A1")
-    assert [r.triples() for r in reps] == [
-        ((1, 2, 3), (1, 4, 5), (1, 6, 7)),
-        ((1, 2, 3), (1, 4, 5), (2, 4, 6)),
-    ]
-    _, reps = enumerate_supports("A2")
-    assert reps[0].triples() == ((1, 2, 3), (4, 5, 6))
+    """The representatives of every type, as the parent of the generator
+    closure printed them."""
+    a, b, c, d, e, f, g = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
+                           (4, 5, 6), (1, 4, 7), (2, 5, 7))
+    expected = {
+        "A1": [(a,)],
+        "2A1": [(a, b)],
+        "3A1": [(a, b, c), (a, b, d)],
+        "4A1": [(a, b, c, d)],
+        "A2": [(a, e)],
+        "A2+A1": [(a, e, f)],
+        "A2+2A1": [(a, e, f, g)],
+        "A2+3A1": [(a, e, f, g, (3, 6, 7))],
+    }
+    for typ in SUPPORT_TYPES:
+        assert [r.triples() for r in enumerate_supports(typ)[1]] == expected[typ], typ
+
+
+def _key(config):
+    return (tuple(_TRIPLE_INDEX[t] for t in config.a2_pair),
+            tuple(_TRIPLE_INDEX[t] for t in config.a1_triples))
+
+
+@cache
+def _raw_keys(typ):
+    """Every Gram-compatible key of the type, by brute force over triples:
+    a disjoint pair (or none) and the A_1 triples, which pairwise meet in one
+    element and meet each triple of the pair in one element."""
+    n_a2, n_a1 = _TYPE_SHAPE[typ]
+
+    def pairing(i, j):
+        return triple_pairing(TRIPLES[i], TRIPLES[j])
+
+    indices = range(len(TRIPLES))
+    pairs = [p for p in combinations(indices, 2) if pairing(*p) == -1] if n_a2 else [()]
+    out = []
+    for a2 in pairs:
+        candidates = [c for c in indices if all(pairing(c, b) == 0 for b in a2)]
+        for a1 in combinations(candidates, n_a1):
+            if all(pairing(s, t) == 0 for s, t in combinations(a1, 2)):
+                out.append((a2, a1))
+    return out
 
 
 def test_enumerate_closed_under_permutation():
     """Each representative is the least element of its S_7 orbit, and the
-    orbits of distinct representatives are disjoint."""
-    from theta_loci.vinberg import _TRIPLE_INDEX, _orbit
-
+    orbits of distinct representatives are disjoint (orbits by the
+    all-permutations oracle)."""
     for typ in SUPPORT_TYPES:
         _, reps = enumerate_supports(typ)
         seen = set()
         for r in reps:
-            key = (tuple(_TRIPLE_INDEX[t] for t in r.a2_pair),
-                   tuple(_TRIPLE_INDEX[t] for t in r.a1_triples))
-            orbit = _orbit(key)
+            key = _key(r)
+            orbit = s7_orbit(key)
             assert key == min(orbit)
             assert seen.isdisjoint(orbit)
             seen |= orbit
+
+
+def test_generator_closure_is_the_s7_orbit():
+    """_orbit, the closure under (1 2) and (1 2 ... 7), equals the image
+    under all 5040 permutations, for every representative and for 50
+    seeded raw keys of each type (A_1 has 35, all taken)."""
+    rng = random.Random(24)
+    for typ in SUPPORT_TYPES:
+        raw = _raw_keys(typ)
+        keys = [_key(r) for r in enumerate_supports(typ)[1]] + rng.sample(raw, min(50, len(raw)))
+        for key in keys:
+            assert _orbit(key) == s7_orbit(key), (typ, key)
+
+
+def test_gram_classes_match_brute_force():
+    """The least elements of the oracle orbits over all raw keys of a type,
+    before the dimension certificate, are _gram_classes of the type."""
+    total = 0
+    for typ in SUPPORT_TYPES:
+        raw = _raw_keys(typ)
+        total += len(raw)
+        seen, classes = set(), set()
+        for key in raw:
+            if key not in seen:
+                orbit = s7_orbit(key)
+                seen |= orbit
+                classes.add(min(orbit))
+        assert seen == set(raw), typ
+        assert sorted(classes) == [_key(c) for c in _gram_classes(typ)], typ
+    assert total == 4725
+
+
+def test_triple_bitsets_match_the_pairing():
+    """_ORTHO and the disjointness of _MASKS against triple_pairing on all
+    35 x 35 pairs of triples."""
+    for i, s in enumerate(TRIPLES):
+        for j, t in enumerate(TRIPLES):
+            assert bool(_ORTHO[i] >> j & 1) == (triple_pairing(s, t) == 0), (s, t)
+            assert (not _MASKS[i] & _MASKS[j]) == (triple_pairing(s, t) == -1), (s, t)
 
 
 def test_gram_condition_of_representatives():
