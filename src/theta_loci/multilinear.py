@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .errors import UsageError
 from .groebner import Ideal
-from .poly import _MAXEXP, Polynomial, PolynomialRing, PrimeField, _degree
+from .poly import Polynomial, PolynomialRing, PrimeField, _degree
 
 _M64 = (1 << 64) - 1
 
@@ -142,11 +142,8 @@ def _sub_pfaffian(matrix: SkewMatrix, mask: int) -> dict[int, int]:
                     k = k1 + k2
                     total[k] = total.get(k, 0) + c1 * c2
         negate = not negate
-    if total and _degree(max(total), n) >= _MAXEXP:
-        # only then can an exponent reach _MAXEXP, which _key rejects; the
-        # sums of two exponents below it fit their slot
-        for k in total:
-            ring._key(ring._exps(k))
+    if total:
+        ring._check_exponents(total, _degree(max(total), n))
     out = {k: c % p for k, c in total.items() if c % p}
     memo[mask] = out
     return out
@@ -175,6 +172,7 @@ class AlternatingVector:
     __slots__ = ("ambient", "degree", "prime", "coefficients")
 
     def __init__(self, ambient: int, degree: int, prime: int, coefficients):
+        PrimeField(prime)  # refuses a modulus that is not prime before it reduces
         coeffs = {}
         for key, c in coefficients.items():
             key = tuple(key)
@@ -218,6 +216,7 @@ class TensorSection:
 
     @classmethod
     def from_dict(cls, prime: int, d) -> "TensorSection":
+        PrimeField(prime)  # refuses a modulus that is not prime before it reduces
         items = []
         for key, c in sorted(d.items()):
             a, i, j = key

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import UsageError
 from .groebner import (HilbertData, Ideal, generator_profile, hilbert,
@@ -446,17 +448,10 @@ def example_gallery(name: str, prime: int = 101) -> CaseReport:
 
 
 def _is_pentagon(lines) -> bool:
-    """Are the coordinate lines a single 5-cycle under shared-index adjacency?"""
-    if len(lines) != 5:
-        return False
-    adjacency = {line: [other for other in lines if other != line
-                        and set(line) & set(other)] for line in lines}
-    if any(len(v) != 2 for v in adjacency.values()):
-        return False
-    seen = {lines[0]}
-    cur, prev = adjacency[lines[0]][0], lines[0]
-    while cur not in seen:
-        seen.add(cur)
-        nxt = [x for x in adjacency[cur] if x != prev]
-        prev, cur = cur, nxt[0]
-    return len(seen) == 5
+    """Are the coordinate lines a single 5-cycle under shared-index adjacency?
+
+    Five distinct lines on five points form one 5-cycle exactly when every
+    point lies on two of them.
+    """
+    return (len(lines) == 5
+            and sorted(Counter(chain.from_iterable(lines)).values()) == [2] * 5)

@@ -212,6 +212,14 @@ class PolynomialRing:
         pk = _unrev(key, self.nvars)
         return tuple((pk >> (_BITS * i)) & _MASK for i in range(self.nvars))
 
+    def _check_exponents(self, keys, degree: int) -> None:
+        """Refuse keys, sums of two keys of total degree `degree`, if one
+        carries an exponent that _key rejects.  Only a degree of _MAXEXP or
+        more allows one: two exponents below _MAXEXP sum within their slot."""
+        if degree >= _MAXEXP:
+            for k in keys:
+                self._key(self._exps(k))
+
     # parsing ------------------------------------------------------------
 
     def parse(self, text: str) -> "Polynomial":
@@ -351,11 +359,7 @@ class Polynomial:
             for k2, c2 in other.packed:
                 k = k1 + k2
                 d[k] = d.get(k, 0) + c1 * c2
-        if self.degree + other.degree >= _MAXEXP:
-            # only then can an exponent reach _MAXEXP; the sums of two
-            # exponents below it fit their slot, and _key rejects them
-            for k in d:
-                self.ring._key(self.ring._exps(k))
+        self.ring._check_exponents(d, self.degree + other.degree)
         return self.ring._from_keys(d)
 
     def __rmul__(self, other):

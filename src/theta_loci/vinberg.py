@@ -14,7 +14,10 @@ Configurations are classified up to the S_7 action on indices: a class is
 the closure of one configuration under the transposition (1 2) and the
 7-cycle (1 2 ... 7), which generate S_7, and its representative is the least
 element of that orbit.  Orbit dimensions are ranks of the infinitesimal gl_7
-action, computed over a large prime field.
+action mod a prime: E_ab sends the triple mask m with b in m and a not in
+m - {b} to m - {b} + {a}, signed by the parity of the elements of m strictly
+between a and b, and the rank is an echelon of pivot rows keyed by their
+leading column.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ RANK_PRIME = (1 << 31) - 1  # Mersenne prime, comfortably above 1e9
 TRIPLES = tuple(combinations(range(1, 8), 3))
 _TRIPLE_INDEX = {t: i for i, t in enumerate(TRIPLES)}
 _MASKS = tuple(sum(1 << x for x in t) for t in TRIPLES)  # bit x set for x in t
+_MASK_INDEX = {m: i for i, m in enumerate(_MASKS)}
 # _ORTHO[i]: bitset of the triples meeting triple i in exactly one element
 _ORTHO = tuple(sum(1 << j for j, n in enumerate(_MASKS) if (m & n).bit_count() == 1)
                for m in _MASKS)
@@ -220,70 +224,52 @@ def enumerate_supports(target_type: str):
 # orbit dimensions
 
 
-def _apply_elementary(a: int, b: int, triple, coeff: int, prime: int, acc):
-    """Accumulate E_{ab} . (coeff * e_triple) into acc (dict on sorted triples)."""
-    for slot, x in enumerate(triple):
-        if x != b:
-            continue
-        replaced = list(triple)
-        replaced[slot] = a
-        if len(set(replaced)) < 3:
-            continue
-        sign = 1
-        arranged = sorted(replaced)
-        # sign of the permutation sorting the replaced slot into position
-        perm = sorted(range(3), key=lambda r: replaced[r])
-        inv = sum(1 for r in range(3) for s in range(r + 1, 3)
-                  if perm[r] > perm[s])
-        if inv % 2:
-            sign = -1
-        key = tuple(arranged)
-        acc[key] = (acc.get(key, 0) + sign * coeff) % prime
-
-
 def orbit_dimension(v: AlternatingVector) -> int:
     """Dimension of the GL_7 orbit of v: rank of the 49 x 35 tangent matrix.
 
-    Computed over a prime field of size >= 1e9; table representatives have
-    0/1 coefficients, so the mod-p rank certifies the rational rank.
+    The rank is taken mod v.prime, and a rank mod p is at most the rational
+    rank; orbit_table checks the ranks of its representatives against the
+    stored dimensions.
     """
     if v.ambient != 7 or v.degree != 3:
         raise UsageError("orbit_dimension needs a degree-3 tensor on C^7")
-    prime = v.prime
+    terms = [(_MASKS[_TRIPLE_INDEX[t]], c) for t, c in v.coefficients.items()]
     rows = []
     for a in range(1, 8):
         for b in range(1, 8):
-            acc: dict[tuple[int, ...], int] = {}
-            for triple, c in v.coefficients.items():
-                _apply_elementary(a, b, triple, c, prime, acc)
-            if acc:
-                rows.append([acc.get(t, 0) for t in TRIPLES])
-    return _rank_mod_p(rows, prime)
+            # E_ab puts e_a in place of e_b; sorting it into place passes the
+            # elements of T strictly between a and b
+            between = (1 << max(a, b)) - (2 << min(a, b)) if a != b else 0
+            row = [0] * len(TRIPLES)
+            for m, c in terms:
+                rest = m ^ (1 << b)
+                if m >> b & 1 and not rest >> a & 1:
+                    col = _MASK_INDEX[rest | (1 << a)]
+                    row[col] += -c if (m & between).bit_count() % 2 else c
+            rows.append(row)
+    return _rank_mod_p(rows, v.prime)
 
 
 def _rank_mod_p(rows, p: int) -> int:
-    """Gaussian elimination rank of a small dense matrix mod p."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    """Rank of a dense matrix mod p.
+
+    pivots maps a leading column to an echelon row scaled to 1 there.  Each
+    row is reduced left to right by the pivots found so far; at its first
+    column with no pivot and a nonzero entry it becomes that column's pivot.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        for col in range(len(row)):
+            x = row[col] % p
+            if not x:
+                continue
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(x, p - 2, p)
+                pivots[col] = [y * inv % p for y in row]
+                break
+            row = [(y - x * z) % p for y, z in zip(row, piv)]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

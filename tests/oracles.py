@@ -22,6 +22,13 @@ hook_content_dim is the hook content formula for the rank of a Schur
 functor, so the tests can hold schur_dim's Weyl product against it.
 s7_orbit maps a vinberg configuration key through all 5040 permutations of
 1..7, so the tests can hold the generator closure of vinberg._orbit against it.
+tangent_rows builds the gl_7 tangent matrix of a degree-3 tensor on sorted
+index tuples, signing each E_ab image by the inversions of the permutation
+that sorts it, and rank_mod_p is Gauss-Jordan elimination with row swaps, so
+the tests can hold vinberg's mask rows and pivot-dict rank against them.
+is_pentagon_by_cyclic_order tries every order of five coordinate lines for
+one in which each line meets exactly its two cyclic neighbours, so the tests
+can hold the degree count of pipeline._is_pentagon against it.
 """
 
 from fractions import Fraction
@@ -209,3 +216,75 @@ def s7_orbit(key) -> set[tuple]:
     a2_idx, a1_idx = key
     return {(tuple(sorted(row[i] for i in a2_idx)),
              tuple(sorted(row[i] for i in a1_idx))) for row in _s7_index_maps()}
+
+
+def _apply_elementary(a: int, b: int, triple, coeff: int, prime: int, acc):
+    """Accumulate E_{ab} . (coeff * e_triple) into acc (dict on sorted triples)."""
+    for slot, x in enumerate(triple):
+        if x != b:
+            continue
+        replaced = list(triple)
+        replaced[slot] = a
+        if len(set(replaced)) < 3:
+            continue
+        sign = 1
+        arranged = sorted(replaced)
+        # sign of the permutation sorting the replaced slot into position
+        perm = sorted(range(3), key=lambda r: replaced[r])
+        inv = sum(1 for r in range(3) for s in range(r + 1, 3)
+                  if perm[r] > perm[s])
+        if inv % 2:
+            sign = -1
+        key = tuple(arranged)
+        acc[key] = (acc.get(key, 0) + sign * coeff) % prime
+
+
+def tangent_rows(v) -> list[list[int]]:
+    """The rows E_ab . v of the tangent matrix of a degree-3 tensor on C^7
+    that meet some triple of v, columns in the order of vinberg.TRIPLES."""
+    rows = []
+    for a in range(1, 8):
+        for b in range(1, 8):
+            acc: dict[tuple[int, ...], int] = {}
+            for triple, c in v.coefficients.items():
+                _apply_elementary(a, b, triple, c, v.prime, acc)
+            if acc:
+                rows.append([acc.get(t, 0) for t in TRIPLES])
+    return rows
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Gauss-Jordan elimination rank of a small dense matrix mod p."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < ncols:
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        rank += 1
+        r += 1
+        col += 1
+    return rank
+
+
+def is_pentagon_by_cyclic_order(lines) -> bool:
+    """Do the lines form one 5-cycle: is there an order in which each line
+    shares an index with its two cyclic neighbours and with no other line?"""
+    if len(lines) != 5:
+        return False
+    for order in permutations(lines):
+        if all(bool(set(order[i]) & set(order[j])) == ((j - i) % 5 in (1, 4))
+               for i, j in combinations(range(5), 2)):
+            return True
+    return False

@@ -7,7 +7,7 @@ import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import (AlternatingVector, SkewMatrix, SplitMix64,
-                                    c5w25_matrix, pfaffian, pfaffian_ideal,
+                                    TensorSection, c5w25_matrix, pfaffian, pfaffian_ideal,
                                     random_section, w39_matrix, w39_ring)
 from theta_loci.poly import PolynomialRing
 
@@ -297,6 +297,21 @@ def test_random_section_counts_and_determinism():
     assert t1 == t2
     with pytest.raises(UsageError):
         random_section("nope", 1, 101)
+
+
+def test_sections_refuse_a_modulus_that_is_not_prime():
+    """A section reduces its coefficients mod its prime, so a modulus that
+    is not prime is refused as random_section refuses it."""
+    for prime in (0, 1, 4, -3):
+        with pytest.raises(UsageError, match="not prime"):
+            AlternatingVector(7, 3, prime, {(1, 2, 3): 1})
+        with pytest.raises(UsageError, match="not prime"):
+            TensorSection.from_dict(prime, {(1, 1, 2): 1})
+    for prime in (101, (1 << 31) - 1):
+        v = AlternatingVector(7, 3, prime, {(1, 2, 3): -1})
+        assert v.coefficients == {(1, 2, 3): prime - 1}
+        assert TensorSection.from_dict(prime, {(1, 1, 2): -1}).terms == \
+            (((1, 1, 2), prime - 1),)
 
 
 def test_splitmix64_reference_values():

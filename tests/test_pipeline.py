@@ -2,18 +2,20 @@
 
 import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.groebner import Ideal, hilbert
-from theta_loci.pipeline import (GALLERY, _is_intersection, _sqrt_minus_one,
+from theta_loci.pipeline import (GALLERY, _is_intersection, _is_pentagon,
+                                 _sqrt_minus_one,
                                  example_gallery, generator_profile,
                                  report_emit, run_case)
 from theta_loci.poly import PolynomialRing
-from theta_loci.vinberg import _rank_mod_p
+
+from oracles import is_pentagon_by_cyclic_order, rank_mod_p
 
 GOLDEN = Path(__file__).parent / "data" / "reports"
 
@@ -36,8 +38,8 @@ def _dense_profile(ideal):
                 every.append(row)
                 if k >= 1:
                     shifted.append(row)
-        mu = (_rank_mod_p(every, ideal.ring.prime)
-              - _rank_mod_p(shifted, ideal.ring.prime))
+        mu = (rank_mod_p(every, ideal.ring.prime)
+              - rank_mod_p(shifted, ideal.ring.prime))
         if mu:
             profile[d] = mu
     return profile
@@ -153,6 +155,19 @@ def test_gallery_membership_checks():
     assert verdicts["conic1_membership"] == "on curve"
     assert verdicts["conic2_membership"] == "on curve"
     assert verdicts["line_membership"] == "on curve"
+
+
+def test_pentagon_degree_count_matches_the_cyclic_orders():
+    """_is_pentagon agrees with a search over cyclic orders on every subset
+    of the ten coordinate lines, and finds the 12 pentagons of K_5."""
+    every = list(combinations(range(5), 2))
+    found = 0
+    for bits in range(1 << len(every)):
+        lines = [line for i, line in enumerate(every) if bits >> i & 1]
+        expected = is_pentagon_by_cyclic_order(lines)
+        assert _is_pentagon(lines) == expected, lines
+        found += expected
+    assert found == 12
 
 
 def test_sqrt_minus_one_is_the_scan_and_quick_at_any_prime():

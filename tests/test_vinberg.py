@@ -6,12 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import s7_orbit
+from oracles import rank_mod_p, s7_orbit, tangent_rows
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import AlternatingVector, SplitMix64
 from theta_loci.vinberg import (_MASKS, _ORTHO, _TRIPLE_INDEX, _TYPE_SHAPE,
                                 ORBITS, RANK_PRIME, SUPPORT_TYPES, TRIPLES,
-                                _gram_classes, _orbit, enumerate_supports,
+                                _gram_classes, _orbit, _rank_mod_p,
+                                enumerate_supports,
                                 orbit_dimension, orbit_table,
                                 parse_bracket_terms, triple_pairing)
 
@@ -197,6 +198,33 @@ def test_orbit_dimension_examples():
     assert orbit_dimension(dense) == 35
 
 
+PRIMES = (2, 3, 5, 7, 101, RANK_PRIME)
+
+
+def test_orbit_dimension_matches_the_sorted_tuple_oracle():
+    """The mask rows and pivot-dict rank give the rank of the sorted-tuple
+    tangent rows by Gauss-Jordan elimination, at small primes too."""
+    rng = random.Random(2501)
+    for p in PRIMES:
+        tensors = [{}, {(1, 2, 3): 1}, {t: 1 + rng.randrange(p - 1) for t in TRIPLES}]
+        for _ in range(60):
+            picked = rng.sample(TRIPLES, rng.randint(0, 15))
+            tensors.append({t: rng.randrange(p) for t in picked})
+        for coeffs in tensors:
+            v = AlternatingVector(7, 3, p, coeffs)
+            assert orbit_dimension(v) == rank_mod_p(tangent_rows(v), p), (p, coeffs)
+
+
+def test_rank_matches_gauss_jordan():
+    rng = random.Random(2502)
+    for _ in range(600):
+        p = rng.choice(PRIMES)
+        ncols = rng.randint(1, 12)
+        rows = [[rng.randrange(-p, 2 * p) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(rng.randint(0, 12))]
+        assert _rank_mod_p(rows, p) == rank_mod_p(rows, p), (p, rows)
+
+
 def test_orbit_table_rows():
     table = orbit_table()
     assert [rec.expected_dimension for rec in table] == \
@@ -298,6 +326,8 @@ def test_table_representatives_are_valid_supports():
 
 
 def test_alternating_vector_invariants():
+    with pytest.raises(UsageError, match="not prime"):
+        orbit_dimension(AlternatingVector(7, 3, 1, {(1, 2, 3): 1}))
     with pytest.raises(UsageError):
         AlternatingVector(7, 3, 101, {(2, 1, 3): 1})  # not increasing
     with pytest.raises(UsageError):
