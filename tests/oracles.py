@@ -240,8 +240,9 @@ def _apply_elementary(a: int, b: int, triple, coeff: int, prime: int, acc):
 
 
 def tangent_rows(v) -> list[list[int]]:
-    """The rows E_ab . v of the tangent matrix of a degree-3 tensor on C^7
-    that meet some triple of v, columns in the order of vinberg.TRIPLES."""
+    """The rows E_ab . v of the tangent matrix of a degree-3 tensor on C^7,
+    leaving out each E_ab that kills every triple of v; columns in the order
+    of vinberg.TRIPLES."""
     rows = []
     for a in range(1, 8):
         for b in range(1, 8):

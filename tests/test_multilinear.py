@@ -7,8 +7,9 @@ import pytest
 
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import (AlternatingVector, SkewMatrix, SplitMix64,
-                                    TensorSection, c5w25_matrix, pfaffian, pfaffian_ideal,
-                                    random_section, w39_matrix, w39_ring)
+                                    TensorSection, c5w25_matrix, pfaffian,
+                                    pfaffian_ideal, random_section, w39_matrix,
+                                    w39_ring)
 from theta_loci.poly import PolynomialRing
 
 from oracles import cofactor_determinant, matching_pfaffian

@@ -10,9 +10,8 @@ import pytest
 from theta_loci.errors import UsageError
 from theta_loci.groebner import Ideal, hilbert
 from theta_loci.pipeline import (GALLERY, _is_intersection, _is_pentagon,
-                                 _sqrt_minus_one,
-                                 example_gallery, generator_profile,
-                                 report_emit, run_case)
+                                 _sqrt_minus_one, example_gallery,
+                                 generator_profile, report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 
 from oracles import is_pentagon_by_cyclic_order, rank_mod_p

@@ -12,9 +12,9 @@ from theta_loci.multilinear import AlternatingVector, SplitMix64
 from theta_loci.vinberg import (_MASKS, _ORTHO, _TRIPLE_INDEX, _TYPE_SHAPE,
                                 ORBITS, RANK_PRIME, SUPPORT_TYPES, TRIPLES,
                                 _gram_classes, _orbit, _rank_mod_p,
-                                enumerate_supports,
-                                orbit_dimension, orbit_table,
-                                parse_bracket_terms, triple_pairing)
+                                enumerate_supports, orbit_dimension,
+                                orbit_table, parse_bracket_terms,
+                                triple_pairing)
 
 
 def test_triple_pairing_examples():
