@@ -9,6 +9,11 @@ absolute value in type C) minus rho.  The test suite holds the degree against
 minimal word lengths found by breadth-first search in the generators
 s_1..s_{n-1} (adjacent swaps) and s_n (negate the last coordinate).
 
+The explicit Schur module is the image of the columns' exterior powers in the
+rows' symmetric powers, expanded from one table of signed orderings per
+column length.  Resolution terms have h >= 0 and mult >= 1, and a weight has
+at most N - 1 (type A) or n - 1 (type C) entries.
+
 Line-bundle translation conventions:
 
 * type A, on P^{N-1}: the weight-lambda bundle on the rank N-1 tautological
@@ -25,7 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, pairwise, permutations, product, starmap
+from itertools import (accumulate, chain, combinations, pairwise, permutations,
+                       product, starmap)
 from math import comb, log2, prod
 from operator import add, mul, sub
 
@@ -190,7 +196,8 @@ def schur_module_rank(lam, n: int) -> int:
     is expanded by alternation, the filled diagram is read off along rows, and
     each row is multiplied into a symmetric power.  The rank of the resulting
     integer matrix is the dimension of the Schur module.  Source or target
-    dimensions above _SCHUR_MAX_DIM (10,000) are usage errors.
+    dimensions above _SCHUR_MAX_DIM (10,000) are usage errors, decided by
+    running products of binomials (each at least 1) before any basis is listed.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got n = {n}")
@@ -202,82 +209,52 @@ def schur_module_rank(lam, n: int) -> int:
         return 0
     if not parts:
         return 1
-
-    cols = [list(combinations(range(n), c)) for c in conj]
-    src_dim = prod(len(c) for c in cols)
-    rows_basis: dict[tuple, int] = {}
-
-    def row_monomials(filling):
-        # filling: per column, a tuple of entries top to bottom
-        rows = []
-        for r in range(len(parts)):
-            row = tuple(filling[j][r] for j in range(parts[r]))
-            rows.append(tuple(sorted(row)))
-        return tuple(rows)
-
-    tgt_dim_bound = prod(comb(n + p - 1, p) for p in parts)  # dim S^p C^n
-    if src_dim > _SCHUR_MAX_DIM or tgt_dim_bound > _SCHUR_MAX_DIM:
+    src_dim = accumulate((comb(n, c) for c in conj), mul)
+    tgt_dim = accumulate((comb(n + p - 1, p) for p in parts), mul)  # dim S^p C^n
+    if any(d > _SCHUR_MAX_DIM for d in chain(src_dim, tgt_dim)):
         raise UsageError("Schur construction exceeds the size guard")
 
-    columns_signed = []
-    for c in conj:
-        expanded = {}
-        for base in combinations(range(n), c):
-            terms = []
-            for sigma in permutations(range(c)):
-                inv = sum(1 for a in range(c) for b in range(a + 1, c)
-                          if sigma[a] > sigma[b])
-                terms.append((tuple(base[sigma[r]] for r in range(c)),
-                              -1 if inv % 2 else 1))
-            expanded[base] = terms
-        columns_signed.append(expanded)
-
-    matrix_cols = []
-    for chosen in product(*cols):
-        vec: dict[tuple, int] = {}
-        for filled, sign in _expand_columns(columns_signed, chosen):
-            key = row_monomials(filled)
-            vec[key] = vec.get(key, 0) + sign
-        col = {}
-        for key, val in vec.items():
-            if val:
-                idx = rows_basis.setdefault(key, len(rows_basis))
-                col[idx] = val
-        matrix_cols.append(col)
-
-    return _integer_rank(matrix_cols)
+    signed = {c: [(sigma, (-1) ** sum(a > b for a, b in combinations(sigma, 2)))
+                  for sigma in permutations(range(c))] for c in set(conj)}
+    rows: dict[tuple, int] = {}
+    images = (_schur_image(parts, chosen, signed)
+              for chosen in product(*(combinations(range(n), c) for c in conj)))
+    return _integer_rank([{rows.setdefault(key, len(rows)): v for key, v in image.items() if v}
+                          for image in images])
 
 
-def _expand_columns(columns_signed, chosen):
-    """Each filling of the chosen columns, with the product of its signs."""
-    for picks in product(*(columns_signed[j][c] for j, c in enumerate(chosen))):
-        yield tuple(term for term, _ in picks), prod(s for _, s in picks)
+def _schur_image(parts, chosen, signed) -> Counter:
+    """Image of the source vector wedging chosen[j] in column j: the signed
+    sum over every filling by orderings of the columns (signed[c] for length
+    c, with signs), each row sorted into its symmetric-power monomial."""
+    orderings = [[(tuple(base[i] for i in sigma), sign) for sigma, sign in signed[len(base)]]
+                 for base in chosen]
+    image = Counter()
+    for picks in product(*orderings):
+        filled = [column for column, _ in picks]
+        key = tuple(tuple(sorted(filled[j][r] for j in range(p))) for r, p in enumerate(parts))
+        image[key] += prod(sign for _, sign in picks)
+    return image
 
 
 def _integer_rank(cols: list[dict[int, int]]) -> int:
-    """Exact rank of a sparse integer matrix given by columns."""
-    rows: list[dict[int, Fraction]] = []
-    pivots: dict[int, int] = {}  # pivot row index -> position in rows
-    rank = 0
+    """Exact rank of a sparse integer matrix given by columns: each is reduced
+    by the pivots {least row: echelon column scaled to 1 there} in the order
+    found (each is zero on the rows of those before it), and what is left
+    becomes a pivot at its least row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
     for col in cols:
         vec = {r: Fraction(v) for r, v in col.items()}
-        for prow, at in pivots.items():
-            if prow in vec:
-                factor = vec[prow]
-                for r, v in rows[at].items():
-                    nv = vec.get(r, Fraction(0)) - factor * v
-                    if nv:
-                        vec[r] = nv
-                    elif r in vec:
-                        del vec[r]
+        for prow, pivot in pivots.items():
+            factor = vec.get(prow)
+            if factor:
+                for r, v in pivot.items():
+                    vec[r] = vec.get(r, 0) - factor * v
         vec = {r: v for r, v in vec.items() if v}
         if vec:
             prow = min(vec)
-            inv = vec[prow]
-            rows.append({r: v / inv for r, v in vec.items()})
-            pivots[prow] = len(rows) - 1
-            rank += 1
-    return rank
+            pivots[prow] = {r: v / vec[prow] for r, v in vec.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +263,19 @@ def _integer_rank(cols: list[dict[int, int]]) -> int:
 
 @dataclass(frozen=True)
 class ResolutionTerm:
-    """One locally free term: S_weight of the tautological bundle, twisted."""
+    """One locally free term: S_weight of the tautological bundle, twisted,
+    in homological position h >= 0 with multiplicity mult >= 1."""
 
     weight: tuple[int, ...]
     twist: int
     h: int
     mult: int = 1
+
+    def __post_init__(self):
+        if self.h < 0:
+            raise UsageError(f"'h' must be >= 0, got {self.h}")
+        if self.mult < 1:
+            raise UsageError(f"'mult' must be >= 1, got {self.mult}")
 
 
 @dataclass(frozen=True)
@@ -318,23 +302,20 @@ class CohomologyTable:
 
 
 def _translate_weight(term: ResolutionTerm, space: Space) -> tuple[int, ...]:
+    """The weight bott_outcome takes for a term: its twist, then its weight
+    zero-padded to space.rank - 1 entries (reversed and negated in type A)."""
     lam = tuple(int(x) for x in term.weight)
-    if space.family == "A":
-        width = space.rank - 1
-        if len(lam) > width:
-            raise UsageError("weight longer than the quotient bundle rank")
-        if len(lam) < width:
-            if lam and lam[-1] < 0:
-                raise UsageError("negative weights must be given at full length")
-            lam = lam + (0,) * (width - len(lam))
-        return (term.twist,) + tuple(-x for x in reversed(lam))
     width = space.rank - 1
     if len(lam) > width:
-        raise UsageError("weight longer than allowed for the symplectic bundle")
-    if any(x < 0 for x in lam):
+        bundle = width if space.family == "A" else 2 * width
+        raise UsageError(f"weight longer than {width}, the length of a weight "
+                         f"of the rank-{bundle} bundle")
+    if space.family == "C" and any(x < 0 for x in lam):
         raise UsageError("symplectic weights are partitions")
-    lam = lam + (0,) * (width - len(lam))
-    return (term.twist,) + lam
+    if len(lam) < width and lam and lam[-1] < 0:
+        raise UsageError("negative weights must be given at full length")
+    lam += (0,) * (width - len(lam))
+    return (term.twist,) + (lam if space.family == "C" else tuple(-x for x in reversed(lam)))
 
 
 def cohomology_of_resolution(terms, space: Space) -> CohomologyTable:
@@ -347,31 +328,20 @@ def cohomology_of_resolution(terms, space: Space) -> CohomologyTable:
     returned, with degeneration_verified False.
     """
     terms = list(terms)
-    zero_h = [t for t in terms if t.h == 0]
-    if not any(not any(t.weight) and t.twist == 0 for t in zero_h):
+    if not any(t.h == 0 and not any(t.weight) and t.twist == 0 for t in terms):
         raise UsageError("the h = 0 term must be the untwisted structure sheaf")
     agg: dict[tuple[int, int], int] = {}
     for term in terms:
-        mu = _translate_weight(term, space)
-        out = bott_outcome(space.family, mu)
-        if out.vanishes:
-            continue
-        key = (term.h, out.degree)
-        agg[key] = agg.get(key, 0) + out.dimension * term.mult
+        out = bott_outcome(space.family, _translate_weight(term, space))
+        if not out.vanishes:
+            key = (term.h, out.degree)
+            agg[key] = agg.get(key, 0) + out.dimension * term.mult
     contributions = tuple(sorted((h, j, d) for (h, j), d in agg.items() if d))
 
     dim = space.dimension
-    verified = all(0 <= j - h <= dim for h, j, _ in contributions)
-    if verified:
-        spots = {(h, j) for h, j, _ in contributions}
-        for (h1, j1) in spots:
-            for r in range(2, h1 + 1):
-                if (h1 - r, j1 - r + 1) in spots:
-                    verified = False
-                    break
-            if not verified:
-                break
-    if not verified:
+    spots = {(h, j) for h, j, _ in contributions}
+    if not all(0 <= j - h <= dim for h, j in spots) or any(
+            (h - r, j - r + 1) in spots for h, j in spots for r in range(2, h + 1)):
         return CohomologyTable(None, contributions, False)
     entries = [0] * (dim + 1)
     for h, j, d in contributions:

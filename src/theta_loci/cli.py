@@ -214,7 +214,10 @@ def _load_resolution(path: str):
         for field, value in (("twist", t["twist"]), ("h", t["h"]), ("mult", mult)):
             if type(value) is not int:
                 raise _not_an_integer(value, f"terms[{i}] field {field!r}")
-        terms.append(bott_mod.ResolutionTerm(tuple(weight), t["twist"], t["h"], mult))
+        try:
+            terms.append(bott_mod.ResolutionTerm(tuple(weight), t["twist"], t["h"], mult))
+        except UsageError as exc:
+            raise InputError(f"terms[{i}] field {exc}") from exc
     return terms, bott_mod.Space(family, space_data[name])
 
 

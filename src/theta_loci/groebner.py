@@ -73,7 +73,7 @@ from operator import le
 
 from .errors import UsageError
 from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _degree,
-                   _revkey, _slot_sum, _unrev)
+                   _slot_sum, _unrev)
 
 
 class MonomialOrder:
@@ -81,8 +81,8 @@ class MonomialOrder:
     or a block elimination order with a dominant drop block, each a weight
     order refined by the ring's degrevlex (Cox-Little-O'Shea, Ch. 2 sec. 4).
 
-    key(): the ring key of the monomial (the one a Polynomial stores) plus
-    its weight shifted above it; larger key == larger monomial, and
+    key(a) = moved(ring key of a): the ring key (the one a Polynomial stores)
+    plus its weight shifted above it; larger key == larger monomial, and
     key(ab) = key(a) + key(b).  The native order weighs nothing, so its key
     is the ring key.  With z_i last the weight is (deg << 16) - e_i: by
     degree, then by fewer z_i, then as in the ring.  With a drop block D it
@@ -106,9 +106,6 @@ class MonomialOrder:
         self._dmask = sum(_MASK << (_BITS * i) for i in self.drop)
         self._shift = _BITS * (nvars + 4)  # a ring key fits below this
         self._low = (1 << self._shift) - 1
-
-    def key(self, exps) -> int:
-        return self.moved(_revkey(exps))
 
     def plain(self, key: int) -> int:
         """Plain packing of a key; every exponent must stay below _MAXEXP.

@@ -13,7 +13,8 @@ ideal_quotient forms each I : J by dividing I cap (g) by g, and
 intersection_by_elimination always takes the t-elimination, so neither runs
 the containment shortcut of ideal_intersection that the tests check.
 degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
-tests can hold the engine's packed keys against it.
+tests can hold the engine's packed keys against it; order_key is the key an
+order gives an exponent tuple, its ring key moved into the order.
 cofactor_determinant expands a determinant along its first row, a path that
 shares nothing with the Pfaffian recursion, so the tests can check Pf^2 = det.
 matching_pfaffian sums over perfect matchings, each signed by its number of
@@ -36,7 +37,7 @@ from functools import cache, reduce
 from itertools import combinations, permutations
 
 from theta_loci.groebner import Ideal, _contract_t
-from theta_loci.poly import Polynomial
+from theta_loci.poly import Polynomial, _revkey
 from theta_loci.vinberg import _TRIPLE_INDEX, TRIPLES
 
 
@@ -52,6 +53,11 @@ def degrevlex_cmp(a, b) -> int:
         if x != y:
             return 1 if x < y else -1
     return 0
+
+
+def order_key(order, exps) -> int:
+    """The key of the monomial with exponents exps under a MonomialOrder."""
+    return order.moved(_revkey(exps))
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:

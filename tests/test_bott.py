@@ -1,13 +1,17 @@
 """Dotted action, dimension formulas, resolution cohomology, Verlinde."""
 
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
+import sympy
 
 from theta_loci.errors import UsageError
 from theta_loci.bott import (BottOutcome, ResolutionTerm, Space, _conjugate,
+                             _integer_rank, _schur_image,
                              bott_outcome, bott_type_a, bott_type_c,
                              cohomology_of_resolution, schur_dim,
                              schur_module_rank, verlinde, weyl_dim_type_c)
@@ -244,35 +248,11 @@ def test_schur_module_construct_examples():
 def test_schur_module_image_expansion():
     """The image of a repeated-column source vector has the 4-term pattern
     collapsed to coefficients (1, -2, 1) on three distinct row monomials."""
-    from theta_loci.bott import _expand_columns
-    from itertools import permutations as perms
-
-    lam = (3, 2)
-    conj = _conjugate(lam)  # (2, 2, 1)
-    # source vector (e1^e2) (x) (e1^e2) (x) e1 over C^2
-    columns_signed = []
-    for c in conj:
-        expanded = {}
-        base = tuple(range(c)) if c == 2 else (0,)
-        terms = []
-        for sigma in perms(range(c)):
-            inv = sum(1 for a in range(c) for b in range(a + 1, c)
-                      if sigma[a] > sigma[b])
-            terms.append((tuple(base[sigma[r]] for r in range(c)),
-                          -1 if inv % 2 else 1))
-        expanded[base] = terms
-        columns_signed.append(expanded)
-    chosen = [(0, 1), (0, 1), (0,)]
-    image = {}
-    for filled, sign in _expand_columns(columns_signed, chosen):
-        rows = []
-        for r in range(2):
-            row = tuple(sorted(filled[j][r] for j in range(lam[r])))
-            rows.append(row)
-        key = tuple(rows)
-        image[key] = image.get(key, 0) + sign
-    image = {k: v for k, v in image.items() if v}
-    assert image == {
+    # lam = (3, 2), columns (2, 2, 1); source vector (e1^e2) (x) (e1^e2) (x) e1
+    # over C^2; the signed orderings of columns of length 1 and 2
+    signed = {1: [((0,), 1)], 2: [((0, 1), 1), ((1, 0), -1)]}
+    image = _schur_image((3, 2), [(0, 1), (0, 1), (0,)], signed)
+    assert dict(image) == {
         ((0, 0, 0), (1, 1)): 1,
         ((0, 0, 1), (0, 1)): -2,
         ((0, 1, 1), (0, 0)): 1,
@@ -294,6 +274,34 @@ def test_schur_module_guard():
     above the guard: refused before any matrix is built."""
     with pytest.raises(UsageError, match="size guard"):
         schur_module_rank((3, 3, 3), 6)
+
+
+def test_schur_module_guard_comes_before_any_basis():
+    """(1) on C^(10^6) has a source of dimension 10^6: refused from binomials,
+    with no list of its 10^6 basis vectors built first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="size guard"):
+            schur_module_rank((1,), 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_integer_rank_matches_sympy():
+    """The pivot-dict rank against sympy on seeded random sparse integer
+    matrices from 0 x 0 to 8 x 8, and on columns whose least rows arrive in
+    decreasing order (the third is the second minus the first)."""
+    assert _integer_rank([{2: 1, 3: 1}, {1: 1, 2: 1}, {1: 1, 3: -1}]) == 2
+    rng = random.Random(26)
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.random()
+        cols = [{r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in range(nrows)
+                 if rng.random() < density} for _ in range(ncols)]
+        matrix = sympy.Matrix(nrows, ncols, lambda r, c: cols[c].get(r, 0))
+        assert _integer_rank(cols) == matrix.rank(), cols
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +339,24 @@ def test_resolution_requires_structure_sheaf_at_h0():
     with pytest.raises(UsageError):
         cohomology_of_resolution(
             [ResolutionTerm((1,), -1, 0)], Space("A", 3))
+
+
+def test_resolution_terms_that_no_resolution_has_are_refused():
+    """A term sits at h >= 0 with multiplicity >= 1: mult -3 on P^2 printed
+    an H^1 of -3, and mult 0 passed the structure-sheaf check adding nothing."""
+    for h, mult, field in ((1, -3, "'mult'"), (0, 0, "'mult'"), (-1, 1, "'h'")):
+        with pytest.raises(UsageError, match=field):
+            ResolutionTerm((), 0 if h == 0 else -3, h, mult)
+
+
+def test_weights_longer_than_the_bundle_allows_are_refused():
+    """One message in both families, naming the length and the bundle rank."""
+    structure_sheaf = ResolutionTerm((), 0, 0)
+    for space, weight, text in ((Space("A", 3), (1, 1, 1), "longer than 2, .* rank-2 "),
+                                (Space("C", 3), (1, 1, 1), "longer than 2, .* rank-4 ")):
+        with pytest.raises(UsageError, match=text):
+            cohomology_of_resolution([structure_sheaf, ResolutionTerm(weight, -3, 1)],
+                                     space)
 
 
 def test_betti_totals_reconstruction():

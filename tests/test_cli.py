@@ -220,6 +220,11 @@ def test_bott_resolution_malformed(tmp_path, capsys):
         ({"space": space, "terms": [dict(term, weight=["1"])]}, "'weight'"),
         ({"space": space, "terms": [dict(term, twist=1.5)]}, "'twist'"),
         ({"space": space, "terms": [dict(term, mult="2")]}, "'mult'"),
+        # multiplicities and positions that no resolution has
+        ({"space": {"type": "A", "N": 3}, "terms": [
+            term, {"weight": [], "twist": -3, "h": 1, "mult": -3}]}, "terms[1] field 'mult'"),
+        ({"space": space, "terms": [dict(term, mult=0)]}, "terms[0] field 'mult'"),
+        ({"space": space, "terms": [term, dict(term, twist=1, h=-1)]}, "terms[1] field 'h'"),
     ]
     for n in ("x", 2.5, True, 0):
         cases.append(({"space": {"type": "A", "N": n}, "terms": [term]}, "'N'"))

@@ -13,7 +13,7 @@ from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced,
                                  saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
 
-from oracles import degrevlex_cmp, ideal_quotient
+from oracles import degrevlex_cmp, ideal_quotient, order_key
 
 
 @pytest.fixture
@@ -286,7 +286,7 @@ def test_reduction_loop_never_unpacks_a_term(monkeypatch):
     def forbid_unpacking():
         monkeypatch.setattr(PolynomialRing, "_exps", unpack)
         monkeypatch.setattr(PolynomialRing, "from_exponent_dict", unpack)
-        monkeypatch.setattr(MonomialOrder, "key", unpack)
+        monkeypatch.setattr(PolynomialRing, "_key", unpack)
 
     for order in (MonomialOrder(4), MonomialOrder(4, last=1), MonomialOrder(4, (0, 2))):
         expected_gb = buchberger_reduced(gens, order)
@@ -328,7 +328,7 @@ def test_reducer_memo_follows_the_live_leads(rxyz):
     x, y, z = rxyz.gens()
     order = MonomialOrder(3)
     basis = groebner._Basis(order, rxyz.prime)
-    pk = order.plain(order.key((2, 1, 0)))  # x^2*y
+    pk = order.plain(order_key(order, (2, 1, 0)))  # x^2*y
     assert basis.find_reducer(pk) == -1
     basis.add(groebner._to_dict(x * y - z * z, order))
     assert basis.find_reducer(pk) == 0
@@ -367,12 +367,12 @@ def test_row_rule_builds_no_column_map(monkeypatch):
 def test_elimination_order_blocks():
     order = MonomialOrder(3, drop=(0,))
     # any monomial with the dropped variable dominates any without
-    assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+    assert order_key(order, (1, 0, 0)) > order_key(order, (0, 5, 5))
     # every order keeps the ring's slot layout: variable i in slot i
     pk = 2 + (3 << 16) + (1 << 32)
     for order in (order, MonomialOrder(3), MonomialOrder(3, last=0)):
-        assert order.plain(order.key((2, 3, 1))) == pk
-        assert order.unplain(pk) == order.key((2, 3, 1))
+        assert order.plain(order_key(order, (2, 3, 1))) == pk
+        assert order.unplain(pk) == order_key(order, (2, 3, 1))
     # a two-variable drop block dominates, and each block is degrevlex
     order = MonomialOrder(4, drop=(1, 3))
     exps = list(product(range(3), repeat=4))
@@ -380,7 +380,7 @@ def test_elimination_order_blocks():
         for b in exps:
             want = (degrevlex_cmp((a[1], a[3]), (b[1], b[3]))
                     or degrevlex_cmp((a[0], a[2]), (b[0], b[2])))
-            got = order.key(a) - order.key(b)
+            got = order_key(order, a) - order_key(order, b)
             assert (got > 0) - (got < 0) == want, (a, b)
 
 
