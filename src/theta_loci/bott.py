@@ -204,14 +204,18 @@ def schur_module_rank(lam, n: int) -> int:
     parts = _partition(lam)
     if parts and parts[-1] < 0:
         raise UsageError(f"{parts} has negative parts")
-    conj = _conjugate(parts)
-    if any(c > n for c in conj):
+    if len(parts) > n:  # the first column, of length len(parts), is longer than n
         return 0
     if not parts:
         return 1
-    src_dim = accumulate((comb(n, c) for c in conj), mul)
+    # the target guard reads only the rows, so it runs before the conjugate
+    # (parts[0] entries) is built; dim S^p C^n >= n, so n decides first and
+    # no binomial with both n and p large is expanded
     tgt_dim = accumulate((comb(n + p - 1, p) for p in parts), mul)  # dim S^p C^n
-    if any(d > _SCHUR_MAX_DIM for d in chain(src_dim, tgt_dim)):
+    if n > _SCHUR_MAX_DIM or any(d > _SCHUR_MAX_DIM for d in tgt_dim):
+        raise UsageError("Schur construction exceeds the size guard")
+    conj = _conjugate(parts)
+    if any(d > _SCHUR_MAX_DIM for d in accumulate((comb(n, c) for c in conj), mul)):
         raise UsageError("Schur construction exceeds the size guard")
 
     signed = {c: [(sigma, (-1) ** sum(a > b for a, b in combinations(sigma, 2)))
@@ -288,6 +292,8 @@ class Space:
     def __post_init__(self):
         if self.family not in ("A", "C"):
             raise UsageError("space family must be 'A' or 'C'")
+        if self.rank < 1:
+            raise UsageError(f"space rank must be at least 1, got {self.rank}")
 
     @property
     def dimension(self) -> int:

@@ -95,9 +95,6 @@ class SkewMatrix:
         rows = tuple(rows)
         return SkewMatrix(self.ring, [[self.entries[i][j] for j in rows] for i in rows])
 
-    def pfaffian(self) -> Polynomial:
-        return pfaffian(self)
-
 
 def pfaffian(matrix: SkewMatrix) -> Polynomial:
     """Pfaffian; odd sizes give 0.  Convention: Pf([[0,a],[-a,0]]) = a.
@@ -218,22 +215,21 @@ class TensorSection:
     def from_dict(cls, prime: int, d) -> "TensorSection":
         PrimeField(prime)  # refuses a modulus that is not prime before it reduces
         items = []
-        for key, c in sorted(d.items()):
-            a, i, j = key
-            if not (1 <= a <= 5 and 1 <= i < j <= 5):
+        for key, c in d.items():
+            if not (isinstance(key, tuple) and len(key) == 3
+                    and 1 <= key[0] <= 5 and 1 <= key[1] < key[2] <= 5):
                 raise UsageError(f"bad tensor index {key}")
             c %= prime
             if c:
-                items.append(((a, i, j), c))
-        return cls(prime, tuple(items))
+                items.append((key, c))
+        return cls(prime, tuple(sorted(items)))
 
 
 def w39_ring(prime: int = 101) -> PolynomialRing:
     return PolynomialRing(prime=prime, nvars=9)
 
 
-def w39_matrix(v: AlternatingVector, chart: int = 9,
-               ring: PolynomialRing | None = None) -> SkewMatrix:
+def w39_matrix(v: AlternatingVector, chart: int = 9) -> SkewMatrix:
     """8x8 comultiplication matrix of a degree-3 tensor in the given chart.
 
     Each basis tensor e_i ^ e_j ^ e_k (i<j<k) contributes the antisymmetric
@@ -245,10 +241,7 @@ def w39_matrix(v: AlternatingVector, chart: int = 9,
         raise UsageError("w39_matrix needs a degree-3 tensor on C^9")
     if not 1 <= chart <= 9:
         raise UsageError("chart must be in 1..9")
-    if ring is None:
-        ring = w39_ring(v.prime)
-    if ring.prime != v.prime:
-        raise UsageError("ring prime does not match section prime")
+    ring = w39_ring(v.prime)
     z = ring.gens()
     full: dict[tuple[int, int], Polynomial] = {}
 
@@ -266,16 +259,9 @@ def w39_matrix(v: AlternatingVector, chart: int = 9,
     return big.submatrix(keep)
 
 
-def c5w25_ring(prime: int = 101) -> PolynomialRing:
-    return PolynomialRing(prime=prime, nvars=5)
-
-
-def c5w25_matrix(v: TensorSection, ring: PolynomialRing | None = None) -> SkewMatrix:
+def c5w25_matrix(v: TensorSection) -> SkewMatrix:
     """5x5 matrix sum_a z_a * M_a; term e_a (x) (e_i ^ e_j) puts z_a at (i, j)."""
-    if ring is None:
-        ring = c5w25_ring(v.prime)
-    if ring.prime != v.prime:
-        raise UsageError("ring prime does not match section prime")
+    ring = PolynomialRing(prime=v.prime, nvars=5)
     z = ring.gens()
     upper: dict[tuple[int, int], Polynomial] = {}
     for (a, i, j), c in v.terms:

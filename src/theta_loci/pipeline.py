@@ -3,8 +3,10 @@
 run_case builds a pseudo-random section, assembles the skew matrix, computes
 the saturated Pfaffian ideals and checks them against the expected invariants.
 A failed expectation marks the report NONGENERIC (genericity is an open
-condition; a bad seed is an outcome, not a crash).  Reports are
-self-contained: every verdict is recomputed from fields stored in the report.
+condition; a bad seed is an outcome, not a crash).  The gallery quintics are
+special sections of c5w25's bundle, built by the same c5w25_matrix.  Reports
+are self-contained: every verdict is recomputed from fields stored in the
+report.
 """
 
 from __future__ import annotations
@@ -13,19 +15,33 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import UsageError
 from .groebner import (HilbertData, Ideal, generator_profile, hilbert,
                        resolution_hilbert_numerator, saturate,
                        saturate_by_ideal)
 from .complexes import buchsbaum_eisenbud_numerator_terms
-from .multilinear import (SkewMatrix, c5w25_matrix, c5w25_ring,
-                          pfaffian_ideal, random_section, w39_matrix)
+from .multilinear import (TensorSection, c5w25_matrix, pfaffian_ideal,
+                          random_section, w39_matrix)
 from .poly import PolynomialRing
 
 CASES = ("c5w25", "w39", "c3c3c3")
-GALLERY = ("nodal", "triangle", "pentagon", "nonreduced", "cuspidal")
+
+# the singular quintics as sections of C^5 (x) wedge^2 C^5: each key (a, i, j)
+# puts its sign times z_a at (i, j) of the 5x5 skew matrix
+_SECTIONS = {
+    "nodal": {(5, 1, 2): 1, (1, 1, 3): 1, (2, 1, 4): 1, (3, 1, 5): 1, (2, 2, 3): 1,
+              (3, 2, 4): 1, (4, 2, 5): 1, (4, 3, 4): 1, (5, 3, 5): 1},
+    "triangle": {(4, 1, 3): 1, (3, 1, 4): 1, (2, 1, 5): 1, (2, 2, 4): 1,
+                 (1, 2, 5): 1, (5, 3, 5): -1, (4, 4, 5): -1},
+    "pentagon": {(1, 1, 2): 1, (2, 1, 3): 1, (3, 2, 4): 1, (4, 3, 5): 1, (5, 4, 5): 1},
+    "nonreduced": {(5, 1, 3): 1, (3, 1, 4): 1, (2, 1, 5): 1, (2, 2, 4): 1,
+                   (1, 2, 5): 1, (4, 3, 4): 1, (3, 3, 5): 1},
+    "cuspidal": {(1, 1, 2): 1, (4, 1, 3): 1, (5, 1, 5): 1, (5, 2, 4): 1,
+                 (2, 2, 5): 1, (2, 3, 4): 1, (3, 3, 5): 1, (4, 4, 5): 1},
+}
+GALLERY = tuple(_SECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -313,57 +329,6 @@ def _run_c3c3c3(prime: int, seed: int, chart: int) -> CaseReport:
 # gallery of singular quintics
 
 
-def _gallery_matrices(ring: PolynomialRing) -> dict[str, SkewMatrix]:
-    z1, z2, z3, z4, z5 = ring.gens()
-    zero = ring.zero()
-
-    def skew(rows):
-        return SkewMatrix(ring, rows)
-
-    nodal = skew([
-        [zero, z5, z1, z2, z3],
-        [-z5, zero, z2, z3, z4],
-        [-z1, -z2, zero, z4, z5],
-        [-z2, -z3, -z4, zero, zero],
-        [-z3, -z4, -z5, zero, zero],
-    ])
-    triangle = skew([
-        [zero, zero, z4, z3, z2],
-        [zero, zero, zero, z2, z1],
-        [-z4, zero, zero, zero, -z5],
-        [-z3, -z2, zero, zero, -z4],
-        [-z2, -z1, z5, z4, zero],
-    ])
-    pentagon = skew([
-        [zero, z1, z2, zero, zero],
-        [-z1, zero, zero, z3, zero],
-        [-z2, zero, zero, zero, z4],
-        [zero, -z3, zero, zero, z5],
-        [zero, zero, -z4, -z5, zero],
-    ])
-    nonreduced = skew([
-        [zero, zero, z5, z3, z2],
-        [zero, zero, zero, z2, z1],
-        [-z5, zero, zero, z4, z3],
-        [-z3, -z2, -z4, zero, zero],
-        [-z2, -z1, -z3, zero, zero],
-    ])
-    cuspidal = skew([
-        [zero, z1, z4, zero, z5],
-        [-z1, zero, zero, z5, z2],
-        [-z4, zero, zero, z2, z3],
-        [zero, -z5, -z2, zero, z4],
-        [-z5, -z2, -z3, -z4, zero],
-    ])
-    return {"nodal": nodal, "triangle": triangle, "pentagon": pentagon,
-            "nonreduced": nonreduced, "cuspidal": cuspidal}
-
-
-def _vanishes_on_curve(gens, images) -> bool:
-    """Do all generators pull back to 0 along a parameterization?"""
-    return all(g.substitute(images).is_zero() for g in gens)
-
-
 def _sqrt_minus_one(p: int) -> int | None:
     """The lesser root of x^2 + 1 over F_p, None when p % 4 != 1: for the
     least non-residue c, c^((p-1)/4) is one (Euler's criterion)."""
@@ -377,17 +342,17 @@ def _sqrt_minus_one(p: int) -> int | None:
 
 
 def example_gallery(name: str, prime: int = 101) -> CaseReport:
-    """Load one verbatim singular-quintic matrix and verify its invariants."""
+    """Build one singular quintic's matrix from its section and verify its
+    invariants."""
     if name not in GALLERY:
         raise UsageError(f"unknown example {name!r}")
-    ring = c5w25_ring(prime)
-    M = _gallery_matrices(ring)[name]
+    M = c5w25_matrix(TensorSection.from_dict(prime, _SECTIONS[name]))
     report = CaseReport(f"example:{name}", prime, None, None)
 
     t0 = time.perf_counter()
     # saturate at the irrelevant ideal: these sections are deliberately
     # non-generic and may have components inside any coordinate hyperplane
-    sat = saturate_by_ideal(pfaffian_ideal(M, 4), Ideal(ring, list(ring.gens())))
+    sat = saturate_by_ideal(pfaffian_ideal(M, 4), Ideal(M.ring, list(M.ring.gens())))
     rec = _record("pfaffian4", sat, hilbert(sat), with_numerator=True)
     report.records.append(rec)
     report.timings["ideal"] = time.perf_counter() - t0
@@ -397,53 +362,45 @@ def example_gallery(name: str, prime: int = 101) -> CaseReport:
     gens = sat.groebner_basis().elements
     param = PolynomialRing(prime=prime, variables=("a", "b"))
     a, b = param.gens()
-    zero = param.zero()
+    zero, one = param.zero(), param.one()
+
+    def where(images) -> str:
+        """Does every basis element pull back to 0 along z_k -> images[k]?"""
+        on = all(g.substitute(images).is_zero() for g in gens)
+        return "on curve" if on else "off curve"
 
     if name == "nodal":
-        curve = [a**5 + b**5, a * b**4, a**2 * b**3, a**3 * b**2, a**4 * b]
-        ok = _vanishes_on_curve(gens, curve)
-        node = all(g.evaluate((1, 0, 0, 0, 0)) == 0 for g in gens)
-        report.verdicts.append(Verdict("parameterization", "on curve",
-                                       "on curve" if ok else "off curve"))
-        report.verdicts.append(Verdict("node_membership", "on curve",
-                                       "on curve" if node else "off curve"))
+        report.verdicts += [
+            Verdict("parameterization", "on curve",
+                    where([a**5 + b**5, a * b**4, a**2 * b**3, a**3 * b**2, a**4 * b])),
+            Verdict("node_membership", "on curve", where([one, zero, zero, zero, zero])),
+        ]
     elif name == "triangle":
-        pieces = {
-            "conic1": [a * a, a * b, b * b, zero, zero],
-            "conic2": [zero, zero, a * a, a * b, b * b],
-            "line": [a, zero, zero, zero, b],
-        }
-        for pname, images in pieces.items():
-            ok = _vanishes_on_curve(gens, images)
-            report.verdicts.append(Verdict(f"{pname}_membership", "on curve",
-                                           "on curve" if ok else "off curve"))
+        for piece, images in (("conic1", [a * a, a * b, b * b, zero, zero]),
+                              ("conic2", [zero, zero, a * a, a * b, b * b]),
+                              ("line", [a, zero, zero, zero, b])):
+            report.verdicts.append(Verdict(f"{piece}_membership", "on curve", where(images)))
     elif name == "pentagon":
         # coordinate lines contained in the locus, adjacency by shared coordinate
         lines = []
-        for i in range(5):
-            for j in range(i + 1, 5):
-                images = [zero] * 5
-                images[i], images[j] = a, b
-                if _vanishes_on_curve(gens, images):
-                    lines.append((i, j))
-        cyclic = _is_pentagon(lines)
+        for i, j in combinations(range(5), 2):
+            images = [zero] * 5
+            images[i], images[j] = a, b
+            if where(images) == "on curve":
+                lines.append((i, j))
         report.info["coordinate_lines"] = [[i + 1, j + 1] for i, j in lines]
         report.verdicts.append(Verdict("coordinate_lines", "5", str(len(lines))))
         report.verdicts.append(Verdict("pentagon_cycle", "5-cycle",
-                                       "5-cycle" if cyclic else "not a 5-cycle"))
+                                       "5-cycle" if _is_pentagon(lines) else "not a 5-cycle"))
     elif name == "nonreduced":
-        cubic = [a**3, a**2 * b, a * b**2, b**3, zero]
-        ok = _vanishes_on_curve(gens, cubic)
         report.verdicts.append(Verdict("cubic_membership", "on curve",
-                                       "on curve" if ok else "off curve"))
+                                       where([a**3, a**2 * b, a * b**2, b**3, zero])))
     elif name == "cuspidal":
         i = _sqrt_minus_one(prime)
         if i is not None:
-            curve = [i * b**5, a**3 * b**2, a**5, i * a**2 * b**3, a * b**4]
-            ok = _vanishes_on_curve(gens, curve)
-            report.info["cusp_parameterization"] = "on curve" if ok else "off curve"
-        cusp = all(g.evaluate((0, 0, 1, 0, 0)) == 0 for g in gens)
-        report.info["cusp_point"] = "on curve" if cusp else "off curve"
+            report.info["cusp_parameterization"] = where(
+                [i * b**5, a**3 * b**2, a**5, i * a**2 * b**3, a * b**4])
+        report.info["cusp_point"] = where([zero, zero, one, zero, zero])
     return report
 
 

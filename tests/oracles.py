@@ -30,11 +30,14 @@ the tests can hold vinberg's mask rows and pivot-dict rank against them.
 is_pentagon_by_cyclic_order tries every order of five coordinate lines for
 one in which each line meets exactly its two cyclic neighbours, so the tests
 can hold the degree count of pipeline._is_pentagon against it.
+dense_profile counts minimal generators degree by degree as
+dim I_d - rank(R_1 * I_(d-1)), by dense ranks of all multiples of the
+generators, so the tests can hold generator_profile against it.
 """
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from theta_loci.groebner import Ideal, _contract_t
 from theta_loci.poly import Polynomial, _revkey
@@ -295,3 +298,36 @@ def is_pentagon_by_cyclic_order(lines) -> bool:
                for i, j in combinations(range(5), 2)):
             return True
     return False
+
+
+def dense_profile(ideal):
+    """Oracle: mu_d = dim I_d - rank(R_1 * I_(d-1)), by dense ranks mod p."""
+    n = ideal.ring.nvars
+    profile = {}
+    for d in range(1, max(g.degree for g in ideal.generators) + 1):
+        # the multiples m*g of degree d span I_d; those with deg m >= 1
+        # span R_1 * I_(d-1)
+        columns = list(exponents_of_degree(n, d))
+        every, shifted = [], []
+        for g in ideal.generators:
+            k = d - g.degree
+            for mono in exponents_of_degree(n, k) if k >= 0 else ():
+                terms = {tuple(a + b for a, b in zip(mono, e)): c
+                         for e, c in g.terms}
+                row = [terms.get(e, 0) for e in columns]
+                every.append(row)
+                if k >= 1:
+                    shifted.append(row)
+        mu = (rank_mod_p(every, ideal.ring.prime)
+              - rank_mod_p(shifted, ideal.ring.prime))
+        if mu:
+            profile[d] = mu
+    return profile
+
+
+def exponents_of_degree(n, k):
+    for combo in combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        yield tuple(exps)

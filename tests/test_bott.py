@@ -278,15 +278,24 @@ def test_schur_module_guard():
 
 def test_schur_module_guard_comes_before_any_basis():
     """(1) on C^(10^6) has a source of dimension 10^6: refused from binomials,
-    with no list of its 10^6 basis vectors built first."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(UsageError, match="size guard"):
-            schur_module_rank((1,), 10 ** 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    with no list of its 10^6 basis vectors built first.  A first row of 10^6
+    cells: more rows than n gives 0, and the target guard refuses, both
+    before the conjugate's 10^6 column lengths are built; at n = 10^6 the
+    target is refused without expanding the binomial of 2 * 10^6 - 1."""
+    for lam, n, answer in (((1,), 10 ** 6, "size guard"), ((10 ** 6,), 2, "size guard"),
+                           ((10 ** 6,), 10 ** 6, "size guard"),
+                           ((10 ** 6,), 0, 0), ((10 ** 6, 1), 1, 0)):
+        tracemalloc.start()
+        try:
+            if answer == "size guard":
+                with pytest.raises(UsageError, match=answer):
+                    schur_module_rank(lam, n)
+            else:
+                assert schur_module_rank(lam, n) == answer
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (lam, n, peak)
 
 
 def test_integer_rank_matches_sympy():
@@ -347,6 +356,15 @@ def test_resolution_terms_that_no_resolution_has_are_refused():
     for h, mult, field in ((1, -3, "'mult'"), (0, 0, "'mult'"), (-1, 1, "'h'")):
         with pytest.raises(UsageError, match=field):
             ResolutionTerm((), 0 if h == 0 else -3, h, mult)
+
+
+def test_space_refuses_a_rank_below_one():
+    """Rank 0 had refused a structure sheaf as a weight longer than -1 of a
+    rank--1 bundle; a space of rank below 1 is refused by name."""
+    for family in ("A", "C"):
+        for rank in (0, -1):
+            with pytest.raises(UsageError, match=f"rank must be at least 1, got {rank}$"):
+                Space(family, rank)
 
 
 def test_weights_longer_than_the_bundle_allows_are_refused():

@@ -1,6 +1,7 @@
 """Pfaffians, Pfaffian ideals, section-to-matrix builders, PRNG determinism."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -246,15 +247,13 @@ def test_w39_linearity():
     u = random_section("w39", 1, 101)
     v = random_section("w39", 2, 101)
     s = u + v
-    ring = w39_ring(101)
-    left = w39_matrix(s, ring=ring)
-    mu, mv = w39_matrix(u, ring=ring), w39_matrix(v, ring=ring)
+    # each call builds its own ring; rings compare structurally, so mu + mv adds
+    left = w39_matrix(s)
+    mu, mv = w39_matrix(u), w39_matrix(v)
     assert left.entries == (mu + mv).entries
 
 
 def test_c5w25_matrix_single_term():
-    from theta_loci.multilinear import TensorSection
-
     section = TensorSection.from_dict(101, {(1, 1, 2): 1})
     m = c5w25_matrix(section)
     z1 = m.ring.gens()[0]
@@ -265,17 +264,67 @@ def test_c5w25_matrix_single_term():
                for e in row)
 
 
-def test_c5w25_pentagon_matrix_reproduced():
-    """The pipeline's pentagon matrix comes from an explicit section."""
-    from theta_loci.multilinear import TensorSection
-    from theta_loci.pipeline import _gallery_matrices
+def test_tensor_section_names_a_bad_index():
+    """Every key that is not (a, i, j) with 1 <= a <= 5 and 1 <= i < j <= 5
+    is refused by name, the short, long and non-tuple ones included, also
+    beside a good key."""
+    for key in ((1, 2), (1, 1, 2, 3), (0, 1, 2), (6, 1, 2), (1, 2, 1), (1, 2, 2),
+                (1, 0, 2), (1, 1, 6), 5):
+        for d in ({key: 1}, {(1, 1, 2): 1, key: 1}):
+            with pytest.raises(UsageError, match=re.escape(f"bad tensor index {key}")):
+                TensorSection.from_dict(101, d)
 
-    ring = PolynomialRing(prime=101, nvars=5)
-    # pentagon matrix entries: (1,2)=z1, (1,3)=z2, (2,4)=z3, (3,5)=z4, (4,5)=z5
-    section = TensorSection.from_dict(101, {
-        (1, 1, 2): 1, (2, 1, 3): 1, (3, 2, 4): 1, (4, 3, 5): 1, (5, 4, 5): 1})
-    assert c5w25_matrix(section, ring).entries == \
-        _gallery_matrices(ring)["pentagon"].entries
+
+def test_c5w25_gallery_matrices_reproduced():
+    """Each gallery quintic's matrix, built by c5w25_matrix from its section,
+    is the matrix the gallery once wrote out in full, entry for entry."""
+    from theta_loci.pipeline import _SECTIONS, GALLERY
+
+    for prime in (2, 101, 2 ** 61 - 1):
+        ring = PolynomialRing(prime=prime, nvars=5)
+        z1, z2, z3, z4, z5 = ring.gens()
+        zero = ring.zero()
+        verbatim = {
+            "nodal": [
+                [zero, z5, z1, z2, z3],
+                [-z5, zero, z2, z3, z4],
+                [-z1, -z2, zero, z4, z5],
+                [-z2, -z3, -z4, zero, zero],
+                [-z3, -z4, -z5, zero, zero],
+            ],
+            "triangle": [
+                [zero, zero, z4, z3, z2],
+                [zero, zero, zero, z2, z1],
+                [-z4, zero, zero, zero, -z5],
+                [-z3, -z2, zero, zero, -z4],
+                [-z2, -z1, z5, z4, zero],
+            ],
+            "pentagon": [
+                [zero, z1, z2, zero, zero],
+                [-z1, zero, zero, z3, zero],
+                [-z2, zero, zero, zero, z4],
+                [zero, -z3, zero, zero, z5],
+                [zero, zero, -z4, -z5, zero],
+            ],
+            "nonreduced": [
+                [zero, zero, z5, z3, z2],
+                [zero, zero, zero, z2, z1],
+                [-z5, zero, zero, z4, z3],
+                [-z3, -z2, -z4, zero, zero],
+                [-z2, -z1, -z3, zero, zero],
+            ],
+            "cuspidal": [
+                [zero, z1, z4, zero, z5],
+                [-z1, zero, zero, z5, z2],
+                [-z4, zero, zero, z2, z3],
+                [zero, -z5, -z2, zero, z4],
+                [-z5, -z2, -z3, -z4, zero],
+            ],
+        }
+        assert tuple(verbatim) == GALLERY
+        for name, rows in verbatim.items():
+            matrix = c5w25_matrix(TensorSection.from_dict(prime, _SECTIONS[name]))
+            assert matrix.entries == tuple(map(tuple, rows)), (prime, name)
 
 
 def test_random_section_counts_and_determinism():

@@ -2,54 +2,23 @@
 
 import json
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from theta_loci.errors import UsageError
-from theta_loci.groebner import Ideal, hilbert
-from theta_loci.pipeline import (GALLERY, _is_intersection, _is_pentagon,
+from theta_loci.groebner import Ideal, hilbert, saturate, saturate_by_ideal
+from theta_loci.multilinear import (TensorSection, c5w25_matrix, pfaffian_ideal,
+                                    random_section, w39_matrix)
+from theta_loci.pipeline import (_SECTIONS, GALLERY, _is_intersection, _is_pentagon,
                                  _sqrt_minus_one, example_gallery,
                                  generator_profile, report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 
-from oracles import is_pentagon_by_cyclic_order, rank_mod_p
+from oracles import dense_profile, exponents_of_degree, is_pentagon_by_cyclic_order
 
 GOLDEN = Path(__file__).parent / "data" / "reports"
-
-
-def _dense_profile(ideal):
-    """Oracle: mu_d = dim I_d - rank(R_1 * I_(d-1)), by dense ranks mod p."""
-    n = ideal.ring.nvars
-    profile = {}
-    for d in range(1, max(g.degree for g in ideal.generators) + 1):
-        # the multiples m*g of degree d span I_d; those with deg m >= 1
-        # span R_1 * I_(d-1)
-        columns = list(_exponents_of_degree(n, d))
-        every, shifted = [], []
-        for g in ideal.generators:
-            k = d - g.degree
-            for mono in _exponents_of_degree(n, k) if k >= 0 else ():
-                terms = {tuple(a + b for a, b in zip(mono, e)): c
-                         for e, c in g.terms}
-                row = [terms.get(e, 0) for e in columns]
-                every.append(row)
-                if k >= 1:
-                    shifted.append(row)
-        mu = (rank_mod_p(every, ideal.ring.prime)
-              - rank_mod_p(shifted, ideal.ring.prime))
-        if mu:
-            profile[d] = mu
-    return profile
-
-
-def _exponents_of_degree(n, k):
-    for combo in combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        yield tuple(exps)
 
 
 def _twisted_cubic_plus_cubic(prime, seed):
@@ -59,7 +28,7 @@ def _twisted_cubic_plus_cubic(prime, seed):
 
     def form(degree):
         return sum((ring.monomial(e, rng.randrange(prime))
-                    for e in _exponents_of_degree(4, degree)), ring.zero())
+                    for e in exponents_of_degree(4, degree)), ring.zero())
 
     m = [[form(1) for _ in range(3)] for _ in range(2)]
     minors = [m[0][i] * m[1][j] - m[0][j] * m[1][i]
@@ -81,11 +50,29 @@ def test_generator_profile_simple():
     ]
     for ideal, expected in cases:
         assert generator_profile(ideal) == expected
-        assert _dense_profile(ideal) == expected
+        assert dense_profile(ideal) == expected
     assert generator_profile(Ideal(ring, [])) == {}
     assert generator_profile(Ideal(ring, [x, ring.one()])) == {}
     with pytest.raises(UsageError):
         generator_profile(Ideal(ring, [x * x + y]))
+
+
+def test_generator_profiles_of_saturations_against_dense_oracle():
+    """generator_profile of each gallery saturation and of both c3c3c3
+    components (seed 1 at 32003) equals the dense oracle's on its basis."""
+    saturations = []
+    for name in GALLERY:
+        M = c5w25_matrix(TensorSection.from_dict(101, _SECTIONS[name]))
+        saturations.append(saturate_by_ideal(pfaffian_ideal(M, 4),
+                                             Ideal(M.ring, list(M.ring.gens()))))
+    M = w39_matrix(random_section("c3c3c3", 1, 32003))
+    z = M.ring.gens()
+    J = saturate(pfaffian_ideal(M, 6), z[8])
+    saturations += [saturate_by_ideal(J, Ideal(M.ring, z[0:3])),
+                    saturate_by_ideal(J, Ideal(M.ring, z[3:6]))]
+    for sat in saturations:
+        assert generator_profile(sat) == \
+            dense_profile(Ideal(sat.ring, sat.groebner_basis().elements))
 
 
 def test_c5w25_report_passes():

@@ -3,11 +3,13 @@ the packed-row loop, at primes from 101 to 2^61 - 1.
 
 saturate(I, z_i) of a homogeneous I takes one engine run that divides new
 elements by z_i; sympy's answer is the contraction of a lex basis of
-I + (t*z_i - 1) with t first.  Reduced degrevlex bases of dense forms send
-nearly every normal form through _normal_form_dense; sympy's grevlex basis
-is the reference.  Bases under MonomialOrder(n, last=i) are held against
-sympy's grevlex on the variables permuted so that z_i comes last.  Both
-sides compare reduced, monic bases.
+I + (t*z_i - 1) with t first; the saturation's generator profile, whose mu
+comes from the quota run, is held against dense ranks of its basis.
+Reduced degrevlex bases of dense forms send nearly every normal form
+through _normal_form_dense; sympy's grevlex basis is the reference.  Bases
+under MonomialOrder(n, last=i) are held against sympy's grevlex on the
+variables permuted so that z_i comes last.  Both sides compare reduced,
+monic bases.
 """
 
 import random
@@ -18,8 +20,11 @@ import sympy as sp
 from sympy.polys.groebnertools import groebner as ring_groebner
 
 import theta_loci.groebner as groebner
-from theta_loci.groebner import Ideal, MonomialOrder, buchberger_reduced, saturate
+from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced, generator_profile,
+                                 saturate)
 from theta_loci.poly import PolynomialRing
+
+from oracles import dense_profile
 
 PRIMES = [101, 32003, 2 ** 31 - 1, 2 ** 61 - 1]
 
@@ -68,7 +73,8 @@ def _sympy_saturation(gens, i, p):
 def test_saturation_by_a_variable_against_sympy(prime):
     """I = (z_i^2 * l_1, z_i * l_2, ..., z_i * l_{n-3}, q_1, q_2) with dense
     linear l and quadrics q: saturating by z_i strips V(z_i, q_1, q_2) and
-    leaves the ideal of four points, whose basis starts with linear forms."""
+    leaves the ideal of four points, whose basis starts with linear forms.
+    Its generator profile is the dense oracle's on that basis."""
     for n in (4, 5):
         ring = PolynomialRing(prime=prime, nvars=n)
         z = ring.gens()
@@ -77,9 +83,11 @@ def test_saturation_by_a_variable_against_sympy(prime):
             gens = ([z[i] ** (2 if k == 0 else 1) * _dense_form(ring, 1, rng)
                      for k in range(n - 3)]
                     + [_dense_form(ring, 2, rng) for _ in range(2)])
-            basis = saturate(Ideal(ring, gens), z[i]).groebner_basis()
+            sat = saturate(Ideal(ring, gens), z[i])
+            basis = sat.groebner_basis()
             assert min(g.degree for g in basis.elements) == 1
             assert _ours(basis, _grevlex(n, prime)) == _sympy_saturation(gens, i, prime)
+            assert generator_profile(sat) == dense_profile(Ideal(ring, basis.elements))
 
 
 @pytest.mark.parametrize("prime", PRIMES)
