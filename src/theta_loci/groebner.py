@@ -29,16 +29,17 @@ proportion to ncols * W; every other form takes the sparse loop.  The row
 loop pops the same terms in the same order and asks find_reducer the same
 questions as the sparse loop, so it returns the same remainder.
 
-A homogeneous degrevlex run whose final leading ideal is known in advance
-can skip work that this knowledge proves redundant (Traverso 1996).  Each
-new degree-d lead is one of that ideal's degree-d minimal generators, so once
-the run has found all of them the partial basis spans I_d; the rest of the
-degree's pairs and inputs would reduce to zero and are skipped, and basis and
-mu are unchanged.  A saturation's dividing run counts no mu; when a profile
-of its result is read, generator_profile counts mu by one more run over the
-reduced basis, which knows its leading ideal and carries such a quota.  A
-quota that is too small would silently drop basis elements, so it must come
-from the final leads.
+A run whose result is already known stops its work early.  A run that puts
+a nonzero constant into its basis returns the unit ideal's basis at once,
+since every remaining pair and input would reduce to zero.  And a
+saturation's dividing run counts no mu; when a profile of its result is
+read, generator_profile counts mu by one more run over the reduced basis G,
+a quota run, which reads its leading ideal off G (Traverso 1996, sharpened
+from lead counts to the leads).  Every new lead of degree d that such a run
+finds is a degree-d lead of G it has not found yet, and a remainder leads
+below an S-pair's lcm and at or below an input's lead; so a pair or input
+whose bound lies below every unfound degree-d lead would reduce to zero and
+is skipped, which leaves mu as it is.  The run returns G itself.
 
 Elimination runs under a block order whose weight is the degrevlex key of
 the dropped block, and keeps the basis elements whose lead weighs nothing.
@@ -63,7 +64,6 @@ contains the other, the intersection takes the t-elimination.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
@@ -309,8 +309,13 @@ def _normal_form_dense(f: dict[int, int], basis: _Basis, d: int) -> dict[int, in
         shift = keys[j] - lead_key[i]
         row = rows.get((i, shift))
         if row is None:
-            row = rows[i, shift] = sum((tc % p) << (width * col[tk + shift])
-                                       for tk, tc in tail[i])
+            # packed from the top term down, one shift and one or per term
+            row, at = 0, j
+            for tk, tc in reversed(tail[i]):
+                t = col[tk + shift]
+                row = (row << (width * (at - t))) | (tc % p)
+                at = t
+            row = rows[i, shift] = row << (width * at)
         r += (p - c) * row
     return out
 
@@ -361,8 +366,7 @@ def _spoly(basis: _Basis, i: int, j: int, lcm_key: int) -> dict[int, int]:
 
 
 def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
-                      quota: dict[int, int] | None = None,
-                      divide_last: bool = False
+                      quota: bool = False, divide_last: bool = False
                       ) -> tuple[list[dict[int, int]], dict[int, int] | None]:
     """Reduced Groebner basis of the given polynomial dicts, and mu.
 
@@ -371,15 +375,31 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     the degree-d inputs left with a nonzero remainder; for homogeneous
     inputs that is the number of degree-d minimal generators.
 
-    Hilbert-driven pruning (Traverso, J. Symbolic Comput. 22, 1996): quota
-    is {d: number of degree-d minimal generators of the final leading
-    ideal}, when that ideal is known in advance; pass it only for
-    homogeneous inputs under a degrevlex order, where every item of degree
-    d is a degree-d form.  Each new degree-d lead is one of those
-    generators, so once the run has found quota[d] of them, the rest of the
-    degree's pairs and inputs would all reduce to zero and are skipped,
-    which leaves the basis and mu as they are.  generator_profile reads its
-    quota from the leads of a reduced basis, the run's own inputs.
+    A run whose next basis element is a nonzero constant, after any
+    division below, returns [{0: 1}] at once: every remaining pair and input
+    would reduce to zero, so the reduced basis and mu are what the full run
+    would give.
+
+    A quota run (Traverso, J. Symbolic Comput. 22, 1996, with the leads in
+    place of their counts) takes as inputs the reduced basis G, under this
+    degrevlex order, of a homogeneous ideal I, and returns G and mu.  Its
+    quota is G's leads, read off the inputs by degree.  After the items of
+    degree below d the partial basis is a Groebner basis of I up to degree
+    d - 1, so its leads include every minimal generator of lt(I) below
+    degree d.  A new degree-d lead lies in lt(I) and is divisible by no
+    partial-basis lead, so it is a degree-d minimal generator of lt(I): a
+    degree-d lead of G that the run has not found yet.  A pair's remainder
+    leads below the pair's lcm and an input's at or below the input's lead,
+    so the run skips, as reducing to zero:
+    - a degree-d pair whose lcm is at or below every unfound degree-d lead;
+    - a degree-d input whose lead is below every unfound degree-d lead.
+    Pairs pop in ascending lcm order, so the skipped pairs of a degree are a
+    prefix of them, or all of them once the degree has no unfound lead.  An
+    input whose lead is still unfound is its own remainder, since in a
+    reduced G no other lead divides any of its terms, and joins as it is.
+    A skipped item changes neither the basis nor mu.  A new lead that is not
+    an unfound lead of G shows that the inputs were no reduced basis, and
+    raises a UsageError.  The run builds no reduced basis of its own.
 
     divide_last saturates homogeneous inputs I by the order's last variable
     z (degrevlex, no drop block) while the basis is built: each new element
@@ -391,8 +411,8 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
       of some J' with I <= J' <= I : z^infty and J' : z^infty = J'
       (Bayer-Stillman, Invent. Math. 87, 1987).
     - Hence J' = I : z^infty.
-    A quota counts the final leads of I, not of I : z^infty, so a dividing
-    run takes none.  After a division mu is None, since the inputs no
+    A quota is the leads of I's basis, not of I : z^infty's, so a quota run
+    never divides.  After a division mu is None, since the inputs no
     longer meet the basis of the ideal they generate; generator_profile
     counts it by a quota run when it is read.
     """
@@ -439,29 +459,36 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     # every seed, S-polynomial and tail of a run over forms is a form
     forms = not order.drop and all(_slot_sum(order.plain(min(f)), n) == deg
                                    for deg, f in seeds)
+    # a quota run's leads still to find, by degree: at first all of G's
+    unfound: dict[int, set[int]] = {}
+    if quota:
+        for deg, f in seeds:
+            unfound.setdefault(deg, set()).add(max(f))
 
     zshift = _BITS * order.last  # z's slot in the plain packing
     zkey = order.unplain(1 << zshift)
     divided = False
     mu: dict[int, int] = {}
     nxt = 0
-    deg_now, left = -1, None  # left: degree-deg_now leads still to find
     while nxt < len(seeds) or pairs:
         take_seed = nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0])
         deg = seeds[nxt][0] if take_seed else pairs[0][0]
-        if deg != deg_now:
-            deg_now, left = deg, None if quota is None else quota.get(deg, 0)
+        if quota:
+            ahead = unfound.get(deg)
+            low = min(ahead) if ahead else None  # None: the degree is done
         if take_seed:
             f = seeds[nxt][1]
             nxt += 1
-            if left == 0:
+            if quota and (low is None or max(f) < low):
                 continue
-            r = _reduce(f, basis, deg if forms else None)
+            # an input whose lead is unfound is its own remainder: every live
+            # lead is another lead of G, and those divide no term of it
+            r = f if quota and max(f) in ahead else _reduce(f, basis, deg if forms else None)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
             _, lk, i, j, _ = heapq.heappop(pairs)
-            if left == 0:
+            if quota and (low is None or lk <= low):
                 continue
             r = _reduce(_spoly(basis, i, j, lk), basis, deg if forms else None)
         if r:
@@ -470,9 +497,17 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             if e:
                 r = {k - e * zkey: c for k, c in r.items()}
                 divided = True
+            lead = max(r)
+            if not lead:  # the unit: every other item would reduce to zero
+                return [{0: 1}], None if divided else mu
+            if quota:
+                if lead not in ahead:
+                    raise UsageError("a quota run's inputs must be a reduced basis "
+                                     "under its order")
+                ahead.remove(lead)
             update(r)
-            if left is not None:
-                left -= 1
+    if quota:
+        return inputs, mu
 
     # interreduction: the live leads are the minimal ones, since a new lead
     # is divisible by no live lead and kills the live leads it divides; a
@@ -1004,9 +1039,11 @@ def generator_profile(ideal: Ideal) -> dict[int, int]:
     """Minimal generator counts by degree, {degree: count}, for homogeneous I.
 
     Read from the mu of the degrevlex basis.  A basis made by a saturation's
-    dividing run has none; then one engine run over that reduced basis counts
-    it, stopping each degree once it has found the degree's leads (the
-    engine's quota).  The zero and the unit ideal have no generators.
+    dividing run has none; then a quota run over that reduced basis G counts
+    it (_buchberger_dicts).  Each lead the run finds is one of G's it has not
+    found yet, and an S-pair's remainder leads below the pair's lcm, so the
+    run skips the pairs and inputs that cannot reach an unfound lead of
+    their degree.  The zero and the unit ideal have no generators.
     """
     _require_homogeneous(ideal)
     if ideal.is_unit():
@@ -1016,7 +1053,7 @@ def generator_profile(ideal: Ideal) -> dict[int, int]:
         return dict(gb.mu)
     _, mu = _buchberger_dicts([dict(g.packed) for g in gb.elements],
                               ideal.ring.prime, MonomialOrder(ideal.ring.nvars),
-                              quota=Counter(g.degree for g in gb.elements))
+                              quota=True)
     return mu
 
 

@@ -173,6 +173,8 @@ class AlternatingVector:
         coeffs = {}
         for key, c in coefficients.items():
             key = tuple(key)
+            if not all(type(i) is int for i in key):  # True is no index
+                raise UsageError(f"index tuple {key} is not of integers")
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise UsageError(f"index tuple {key} is not strictly increasing")
             if not all(1 <= i <= ambient for i in key):
@@ -217,6 +219,7 @@ class TensorSection:
         items = []
         for key, c in d.items():
             if not (isinstance(key, tuple) and len(key) == 3
+                    and all(type(i) is int for i in key)  # True is no index
                     and 1 <= key[0] <= 5 and 1 <= key[1] < key[2] <= 5):
                 raise UsageError(f"bad tensor index {key}")
             c %= prime

@@ -275,6 +275,20 @@ def test_tensor_section_names_a_bad_index():
                 TensorSection.from_dict(101, d)
 
 
+def test_index_entries_must_be_integers():
+    """An index entry whose type is not int is refused by name, a float that
+    compares as in range and True, which would pass for 1, included."""
+    for key in ((1.5, 1, 2), ("a", 1, 2), (True, 1, 2), (1, True, 2), (1, 1, 2.0)):
+        for d in ({key: 1}, {(2, 3, 4): 1, key: 1}):  # a key equal to key would merge
+            with pytest.raises(UsageError, match=re.escape(f"bad tensor index {key}")):
+                TensorSection.from_dict(101, d)
+    for key in ((1, 2, "a"), (1, 2, 3.0), (True, 2, 3), (1.0, 2, 3)):
+        for d in ({key: 1}, {(4, 5, 6): 1, key: 1}):
+            with pytest.raises(UsageError,
+                               match=re.escape(f"index tuple {key} is not of integers")):
+                AlternatingVector(9, 3, 101, d)
+
+
 def test_c5w25_gallery_matrices_reproduced():
     """Each gallery quintic's matrix, built by c5w25_matrix from its section,
     is the matrix the gallery once wrote out in full, entry for entry."""

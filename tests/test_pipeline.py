@@ -229,6 +229,62 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     assert [n for _, _, n in runs if n is not None] == [28] + [24] * 6 + [7] * 8
 
 
+def test_runs_that_know_their_answer_stop_early(monkeypatch):
+    """Engine work, counted at _reduce and _spoly, of w39 seed 1 at 101 and
+    c3c3c3 seed 1 at 32003 (containment tests outside a run included).  J's
+    quota run over its reduced basis makes no zero reduction: it skips every
+    pair and input that cannot reach one of the basis's unfound leads.  K's
+    dividing run stops at the normal form whose remainder is c * z9^e, which
+    becomes the unit ideal's constant once z9^e is divided out."""
+    import theta_loci.groebner as groebner
+
+    runs = []
+    total = {"forms": 0, "zero": 0, "pairs": 0}
+    engine, reduce_, spoly = groebner._buchberger_dicts, groebner._reduce, groebner._spoly
+
+    def counted_engine(inputs, p, order, **kwargs):
+        run = {"keywords": sorted(kwargs), "order": order, "remainders": [], "pairs": 0}
+        runs.append(run)
+        run["out"] = engine(inputs, p, order, **kwargs)
+        return run["out"]
+
+    def counted_reduce(f, basis, d):
+        r = reduce_(f, basis, d)
+        total["forms"] += 1
+        total["zero"] += not r
+        if runs and "out" not in runs[-1]:  # inside a run, not a containment test
+            runs[-1]["remainders"].append(r)
+        return r
+
+    def counted_spoly(*args):
+        total["pairs"] += 1
+        runs[-1]["pairs"] += 1
+        return spoly(*args)
+
+    def unit_maker(r, order):
+        """Is r one term c * z^e, z the order's last variable?"""
+        pk, shift = order.plain(max(r)), groebner._BITS * order.last
+        return len(r) == 1 and pk == (pk >> shift) << shift <= groebner._MASK << shift
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counted_engine)
+    monkeypatch.setattr(groebner, "_reduce", counted_reduce)
+    monkeypatch.setattr(groebner, "_spoly", counted_spoly)
+    assert run_case("w39", prime=101, seed=1).status == "PASS"
+    assert total == {"forms": 293, "zero": 123, "pairs": 201}
+    (j_run,) = [r for r in runs if r["keywords"] == ["quota"] and r["out"][1] == {2: 9, 3: 3}]
+    rems = j_run["remainders"]
+    assert (len(rems), sum(not r for r in rems), j_run["pairs"]) == (18, 0, 18)
+    (k_run,) = [r for r in runs if r["out"][0] == [{0: 1}]]
+    rems = k_run["remainders"]
+    assert k_run["keywords"] == ["divide_last"] and len(rems) == 43
+    assert [i for i, r in enumerate(rems) if unit_maker(r, k_run["order"])] == [42]
+
+    runs.clear()
+    total.update(forms=0, zero=0, pairs=0)
+    assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
+    assert total == {"forms": 712, "zero": 462, "pairs": 270}
+
+
 def test_recombination_certificate_sees_a_smaller_ideal():
     """N(J) = N(A) + N(B) - N(A + B) holds for J = A cap B and fails for a J
     strictly inside it: A = (x), B = (y), A cap B = (xy), J = (x^2 y, x y^2)."""
@@ -259,8 +315,8 @@ def test_dense_rows_serve_only_dense_forms(monkeypatch):
         assert job().status == "PASS"
         return paths.count("_normal_form_dense"), paths.count("_normal_form_dict")
 
-    assert split(lambda: run_case("w39", seed=1)) == (405, 6)
-    assert split(lambda: run_case("w39", prime=2 ** 61 - 1, seed=1)) == (389, 22)
+    assert split(lambda: run_case("w39", seed=1)) == (288, 5)
+    assert split(lambda: run_case("w39", prime=2 ** 61 - 1, seed=1)) == (279, 14)
     assert split(lambda: run_case("c3c3c3", prime=32003, seed=1))[0] == 0
     for name in GALLERY:
         assert split(lambda: example_gallery(name))[0] == 0

@@ -2,20 +2,21 @@
 arithmetic and the Groebner engine's Hilbert-driven pruning, dense rows,
 saturation by an ideal and the intersection's containment shortcut."""
 
-from collections import Counter
 from itertools import combinations_with_replacement
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import theta_loci.groebner as groebner
+from theta_loci.errors import UsageError
 from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
                                  _buchberger_dicts, _saturate_variable,
                                  _to_dict, generator_profile,
                                  ideal_intersection, saturate,
                                  saturate_by_ideal)
-from theta_loci.poly import PolynomialRing, _degree, _slot_sum
+from theta_loci.poly import PolynomialRing, _slot_sum
 
 from oracles import (degrevlex_cmp, intersection_by_elimination, order_key,
                      saturate_by_iterated_quotient)
@@ -194,14 +195,13 @@ def homogeneous_ideals(draw, primes=(2, 3, 7, 31)):
 @settings(deadline=None)
 @given(homogeneous_ideals())
 def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
-    """A run pruned by a lead quota returns the unpruned run's reduced basis
-    and mu; the quota is read from the unpruned run's leads."""
+    """The quota run over the plain run's reduced basis, which reads its
+    leads off that basis, returns that basis and the plain run's mu."""
     ring, gens = ring_gens
     order = MonomialOrder(ring.nvars)
     dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
     plain = _buchberger_dicts(dicts, ring.prime, order)
-    quota = Counter(_degree(max(d), ring.nvars) for d in plain[0])
-    assert _buchberger_dicts(dicts, ring.prime, order, quota=quota) == plain
+    assert _buchberger_dicts(plain[0], ring.prime, order, quota=True) == plain
 
 
 @settings(deadline=None)
@@ -224,6 +224,47 @@ def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
         assert divided.groebner_basis().elements == basis
         assert generator_profile(fresh) == generator_profile(divided) \
             == generator_profile(slow)
+
+
+@settings(deadline=None)
+@given(homogeneous_ideals(), st.integers(0, 3), st.integers(1, 3),
+       st.integers(1, 3), st.booleans())
+def test_runs_that_reach_the_unit_return_it(ring_gens, i, c, k, every_variable):
+    """A run with a nonzero constant among its inputs returns [{0: 1}], and so
+    does the dividing run by z_i of an ideal that holds a power of z_i, alone
+    or beside a power of every other variable.  The dividing run's
+    saturation equals the auxiliary-variable method's."""
+    ring, gens = ring_gens
+    n, p = ring.nvars, ring.prime
+    i, c = i % n, c % p or 1
+    order = MonomialOrder(n, last=i)
+    dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
+    assert _buchberger_dicts(dicts + [{0: c}], p, order)[0] == [{0: 1}]
+
+    zs = ring.gens() if every_variable else [ring.variable(i)]
+    powers = gens + [z ** k for z in zs]
+    out, mu = _buchberger_dicts([_to_dict(g, order) for g in powers], p, order,
+                                divide_last=True)
+    assert (out, mu) == ([{0: 1}], None)
+    fast = _saturate_variable(Ideal(ring, powers), i)
+    slow = saturate(Ideal(ring, powers), ring.variable(i) ** 2)
+    assert fast.groebner_basis().elements == slow.groebner_basis().elements \
+        == (ring.one(),)
+    assert generator_profile(fast) == generator_profile(slow) == {}
+
+
+def test_quota_run_refuses_inputs_that_are_no_reduced_basis():
+    """A quota run over generators that are no reduced basis finds a lead
+    that is not among them, and says so, rather than count a wrong mu: the
+    S-pair of the quadrics has lcm x^2 y above the unfound z^3 and leads at
+    y^2 z, which no input has."""
+    ring = PolynomialRing(prime=101, variables=("x", "y", "z"))
+    x, y, z = ring.gens()
+    order = MonomialOrder(3)
+    gens = [x * x - y * z, x * y - z * z, z ** 3]
+    with pytest.raises(UsageError, match="reduced basis"):
+        _buchberger_dicts([_to_dict(g, order) for g in gens], ring.prime, order,
+                          quota=True)
 
 
 def _cached(ring, gens, i, by_saturation):
@@ -317,8 +358,7 @@ def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
         dicts = [_to_dict(g, order) for g in gens if not g.is_zero()]
         with mock.patch.object(groebner, "_reduce", both):
             basis, _ = _buchberger_dicts(dicts, ring.prime, order)
-            quota = Counter(_slot_sum(order.plain(max(d)), ring.nvars) for d in basis)
-            _buchberger_dicts(basis, ring.prime, order, quota=quota)
+            _buchberger_dicts(basis, ring.prime, order, quota=True)
             _buchberger_dicts(dicts, ring.prime, order, divide_last=True)
     assert seen
 
