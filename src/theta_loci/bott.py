@@ -63,10 +63,12 @@ def schur_dim(lam, n: int) -> int:
     Weyl's product over the l nonzero rows (0-based i, j):
     prod_{i<j<l} (lam_i - lam_j + j - i) / (j - i)
     * prod_{i<l} C(lam_i + n - 1 - i, n - l) / C(n - 1 - i, n - l),
-    the second product being the factors with lam_j = 0 for j >= l.  Weakly
-    decreasing integer weights of full length n are shifted by a determinant
-    power first (which leaves the rank fixed), and partitions with more than
-    n rows give 0.
+    the second product being the factors with lam_j = 0 for j >= l.  A pair
+    of equal rows has factor (j - i) / (j - i) = 1, so the first product
+    runs, for each row i, only over the rows j after the block of rows equal
+    to it: (1^l) forms no pair.  Weakly decreasing integer weights of full
+    length n are shifted by a determinant power first (which leaves the rank
+    fixed), and partitions with more than n rows give 0.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got n = {n}")
@@ -82,9 +84,11 @@ def schur_dim(lam, n: int) -> int:
     l = len(lam)
     up = Counter(comb(lam[i] + n - 1 - i, n - l) for i in range(l))
     down = Counter(comb(n - 1 - i, n - l) for i in range(l))
-    for i, j in combinations(range(l), 2):
-        up[lam[i] - lam[j] + j - i] += 1
-        down[j - i] += 1
+    after = {x: i + 1 for i, x in enumerate(lam)}  # one past each block's last row
+    for i in range(l):
+        for j in range(after[lam[i]], l):
+            up[lam[i] - lam[j] + j - i] += 1
+            down[j - i] += 1
     return _quotient(up, down)
 
 

@@ -51,14 +51,18 @@ engine divides each new element by the power of z_i in its lead as it finds
 it, so the basis of the raw ideal, with its high-degree part from the
 component on z_i = 0, is never built.  The two paths agree and both are
 tested.  Saturation by an ideal J has one path for every I and J:
-I : J^infty is the intersection of the I : g^infty over J's generators g,
-so a J of variables takes the dividing run once per variable.  Those
-saturations often contain one another, so an intersection first asks
-whether one ideal lies in the other: I cap J is I when I <= J and J when
-J <= I.  It decides that only by reducing one ideal's generators against a
-basis the other already carries under degrevlex with some z_i last, so the
-test starts no engine run; without such a basis, or when neither ideal
-contains the other, the intersection takes the t-elimination.
+I : J^infty is the intersection of the I : g^infty over J's generators g.
+The running intersection S often lies in the next I : g^infty already, and
+g*S <= I shows it: then S <= I : g <= I : g^infty, so S cap I : g^infty = S
+and g is skipped (Cox-Little-O'Shea, Ch. 4 sec. 4).  Otherwise the
+saturation by g runs, the dividing run when g is a variable, and is met
+with S.  Those saturations often contain one another, so an intersection
+first asks whether one ideal lies in the other: I cap J is I when I <= J
+and J when J <= I.  Both tests, the skip's and the intersection's, reduce
+one ideal's generators against a basis the other already carries under
+degrevlex with some z_i last, so they start no engine run; without such a
+basis the skip is not taken, and an intersection of two ideals neither of
+which contains the other takes the t-elimination.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import le
@@ -723,7 +727,8 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     that is shorter, divides each new element by the power of z_i in its
     lead as it is found (divide_last in _buchberger_dicts; Bayer-Stillman
     1987).  That run counts mu only when it divided nothing; after a division
-    generator_profile counts it, if it is ever read.
+    generator_profile counts it, if it is ever read.  A run that divided
+    nothing built a basis of I itself, so it is cached on I as well.
     """
     ring, n = ideal.ring, ideal.ring.nvars
     order = MonomialOrder(n, last=i)
@@ -737,6 +742,8 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
                                     ring.prime, order, divide_last=True)
         gb = GroebnerBasis(ring, order.descriptor,
                            tuple(_from_dict(d, ring, order) for d in out), mu)
+        if mu is not None:  # nothing divided: gb is a basis of I as well
+            ideal._gb_cache[order.descriptor] = gb
     return _keeping_basis(gb, ideal)
 
 
@@ -755,13 +762,6 @@ def _contract_t(ring: PolynomialRing, gens) -> Ideal:
     kept = eliminate(Ideal(big, gens(big.variable(big.nvars - 1), up)),
                      [big.nvars - 1]).generators
     return Ideal(ring, [_lift(g, ring) for g in kept])
-
-
-def _meet(parts) -> Ideal:
-    """The intersection of a nonempty iterable of ideals, with its degrevlex
-    basis cached on it."""
-    out = reduce(ideal_intersection, parts)
-    return _keeping_basis(out.groebner_basis(), out)
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
@@ -784,7 +784,8 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
 def _inside(a: Ideal, b: Ideal) -> bool:
     """Is a <= b, as read from a basis already cached on b under degrevlex
     with some z_i last?  False when b has no such basis: the test makes no
-    engine run."""
+    engine run.  It serves both ideal_intersection's containment shortcut
+    and saturate_by_ideal's skip, where a is g*S and b is I."""
     n, p = b.ring.nvars, b.ring.prime
     for i in range(n):
         order = MonomialOrder(n, last=i)
@@ -824,12 +825,24 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
     If f*g^N lies in I for each of J's r generators g, then so does f times
     every product of r(N - 1) + 1 generators, in which some g occurs N times
     (pigeonhole); conversely f*J^N <= I puts every f*g^N in I.
+
+    The intersection S of the saturations so far is kept, and a generator g
+    with g*S <= I is skipped: then S <= I : g <= I : g^infty, so meeting S
+    with I : g^infty would give S back.  _inside decides g*S <= I from a
+    basis I already carries, and without one the saturation by g runs.  The
+    result is generated by its degrevlex basis, which it carries.
     """
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
     if b.is_zero():
         return Ideal(a.ring, (a.ring.one(),))
-    return _meet(saturate(a, g) for g in b.generators)
+    out = None
+    for g in b.generators:
+        if out is not None and _inside(Ideal(a.ring, [g * s for s in out.generators]), a):
+            continue  # g*S <= I puts S in I : g^infty
+        sat = saturate(a, g)
+        out = sat if out is None else ideal_intersection(out, sat)
+    return _keeping_basis(out.groebner_basis(), out)
 
 
 # ---------------------------------------------------------------------------

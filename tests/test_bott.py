@@ -196,15 +196,24 @@ def test_schur_dims():
 
 def test_schur_dim_weyl_formula():
     """Weyl's product for long rows and large n, and the hook content
-    product for every partition with parts <= 5 and n <= 6."""
+    product for every partition with parts <= 5 and n <= 6, and for
+    partitions of long blocks of equal rows, whose pairs within a block
+    form no factor: (1^3000) at n = 3000 forms none at all."""
     assert schur_dim((10 ** 8,), 3) == 5000000150000001
     n = 10 ** 9
     assert schur_dim((3, 2), n) == n * n * (n + 1) * (n + 2) * (n - 1) // 24
+    assert schur_dim((1,) * 3000, 3000) == 1
 
     for n in range(7):
         for rows in range(7):
             for lam in combinations_with_replacement(range(5, 0, -1), rows):
                 assert schur_dim(lam, n) == hook_content_dim(lam, n), (lam, n)
+    rng = random.Random(29)
+    for _ in range(40):
+        parts = sorted(rng.sample(range(1, 9), rng.randint(1, 4)), reverse=True)
+        lam = tuple(x for x in parts for _ in range(rng.randint(1, 6)))
+        for n in (len(lam), len(lam) + 1, len(lam) + 7):
+            assert schur_dim(lam, n) == hook_content_dim(lam, n), (lam, n)
 
 
 def test_schur_dim_counts_ssyt():

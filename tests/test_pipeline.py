@@ -97,7 +97,9 @@ def test_report_json_determinism():
     # committed reports pin the byte-stable output across changes
     runs = {"c5w25_p101_seed1": lambda: run_case("c5w25", prime=101, seed=1),
             "c5w25_p101_seed4": lambda: run_case("c5w25", prime=101, seed=4),
-            "c3c3c3_p32003_seed1": lambda: run_case("c3c3c3", prime=32003, seed=1)}
+            "c3c3c3_p32003_seed1": lambda: run_case("c3c3c3", prime=32003, seed=1),
+            "c3c3c3_p32003_seed1_chart7":
+                lambda: run_case("c3c3c3", prime=32003, seed=1, chart=7)}
     for name in GALLERY:
         runs[f"gallery_{name}"] = lambda name=name: example_gallery(name)
     for stem, run in runs.items():
@@ -210,7 +212,9 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
     The saturations met contain one another, which their cached bases show,
     and the recombination is certified by Hilbert series, so no run takes a
     block elimination order.
-    The eight dividing runs that saturate the sum of the two components
+    Each saturation by an ideal of variables skips a variable z once z*S
+    lies in the ideal saturated, S the running answer: one dividing run per
+    component of J_visible, and two for the sum of the components, which
     start from its 7-element degrevlex basis, not its 22 generators."""
     import theta_loci.groebner as groebner
 
@@ -224,9 +228,9 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger_dicts", counted)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
-    assert (len(runs), sum(quota for quota, _, _ in runs)) == (20, 1)
+    assert (len(runs), sum(quota for quota, _, _ in runs)) == (10, 1)
     assert [d for _, d, _ in runs if d.startswith("eliminate")] == []
-    assert [n for _, _, n in runs if n is not None] == [28] + [24] * 6 + [7] * 8
+    assert [n for _, _, n in runs if n is not None] == [28] + [24] * 2 + [7] * 2
 
 
 def test_runs_that_know_their_answer_stop_early(monkeypatch):
@@ -282,7 +286,7 @@ def test_runs_that_know_their_answer_stop_early(monkeypatch):
     runs.clear()
     total.update(forms=0, zero=0, pairs=0)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
-    assert total == {"forms": 712, "zero": 462, "pairs": 270}
+    assert total == {"forms": 514, "zero": 344, "pairs": 226}
 
 
 def test_recombination_certificate_sees_a_smaller_ideal():

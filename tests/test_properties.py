@@ -428,13 +428,56 @@ colon_generators = st.one_of(
 
 
 @settings(deadline=None)
-@example([Z * X, Z * (Y + Z)], [X, Y + Z])
-@example([(X + Y) * Z * Z, (X + Y) * (X + Y) * Y], [X + Y])
-@given(small_ideals(), st.lists(colon_generators, min_size=1, max_size=2))
-def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon):
+@example([Z * X, Z * (Y + Z)], [X, Y + Z], False)
+@example([(X + Y) * Z * Z, (X + Y) * (X + Y) * Y], [X + Y], False)
+@example([X * Y, X * Z], [Y, Z], True)
+@example([X * Y, X * Z], [Y, X], True)
+@example([X, Y * Y], [Z, Y + Z], True)
+@given(small_ideals(), st.lists(colon_generators, min_size=1, max_size=3),
+       st.booleans())
+def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon, cached):
     """I : J^infty as the intersection of the per-generator saturations
     equals the first stable I : J^k, for homogeneous and inhomogeneous I and
-    J generated by variables, linear forms, products and constants."""
-    got = saturate_by_ideal(Ideal(R3, gens), Ideal(R3, colon))
+    J generated by variables, linear forms, products and constants; with
+    cached, I carries its degrevlex basis, so that a generator g with
+    g*S <= I, S the intersection so far, can be skipped."""
+    ideal = Ideal(R3, gens)
+    if cached:
+        ideal.groebner_basis()
+    got = saturate_by_ideal(ideal, Ideal(R3, colon))
     want = saturate_by_iterated_quotient(Ideal(R3, gens), Ideal(R3, colon))
     assert got.groebner_basis().elements == want.groebner_basis().elements
+
+
+@pytest.mark.parametrize("gens, colon, cached, runs, want", [
+    # z*(x) <= I: z is skipped, and S = (x) is not I
+    ([X * Y, X * Z], [Y, Z], True, (1, 2), [X]),
+    # without a basis on I the skip is never tested, and z takes its run
+    ([X * Y, X * Z], [Y, Z], False, (2, 3), [X]),
+    # x*x is not in I: x takes its run, and the t-elimination meets
+    # (x) with (y, z) to give I back
+    ([X * Y, X * Z], [Y, X], True, (2, 4), [X * Y, X * Z]),
+    # I is saturated; z's run divides nothing and leaves its basis on I,
+    # which shows (y + z)*I <= I, and that basis is the answer's
+    ([X, Y * Y], [Z, Y + Z], False, (1, 1), [X, Y * Y]),
+])
+def test_saturation_by_an_ideal_skips_a_generator_once_g_s_lies_in_i(
+        gens, colon, cached, runs, want):
+    """saturate_by_ideal skips a generator g when g*S <= I, as read from a
+    basis I carries.  runs is (dividing runs, all engine runs): one dividing
+    run per variable that is not skipped, and the rest intersections and
+    the answer's degrevlex basis."""
+    ideal = Ideal(R3, gens)
+    if cached:
+        ideal.groebner_basis()
+    dividing = []
+    engine = groebner._buchberger_dicts
+
+    def counted(inputs, p, order, **kwargs):
+        dividing.append(kwargs.get("divide_last", False))
+        return engine(inputs, p, order, **kwargs)
+
+    with mock.patch.object(groebner, "_buchberger_dicts", counted):
+        got = saturate_by_ideal(ideal, Ideal(R3, colon))
+    assert (sum(dividing), len(dividing)) == runs
+    assert got.groebner_basis().elements == Ideal(R3, want).groebner_basis().elements
