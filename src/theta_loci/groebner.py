@@ -393,14 +393,14 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     degree d.  A new degree-d lead lies in lt(I) and is divisible by no
     partial-basis lead, so it is a degree-d minimal generator of lt(I): a
     degree-d lead of G that the run has not found yet.  A pair's remainder
-    leads below the pair's lcm and an input's at or below the input's lead,
-    so the run skips, as reducing to zero:
-    - a degree-d pair whose lcm is at or below every unfound degree-d lead;
-    - a degree-d input whose lead is below every unfound degree-d lead.
-    Pairs pop in ascending lcm order, so the skipped pairs of a degree are a
-    prefix of them, or all of them once the degree has no unfound lead.  An
-    input whose lead is still unfound is its own remainder, since in a
-    reduced G no other lead divides any of its terms, and joins as it is.
+    leads below the pair's lcm, so the run skips, as reducing to zero, a
+    degree-d pair whose lcm is at or below every unfound degree-d lead:
+    pairs pop in ascending lcm order, so these are a prefix of the degree's
+    pairs, or all of them once the degree has no unfound lead.  Inputs pop
+    after their degree's pairs, by ascending lead, so an input's lead is
+    either found already, and the input, whose remainder leads at or below
+    it, is skipped too; or the lowest unfound lead, and the input joins
+    unreduced, as no other lead of a reduced G divides a term of it.
     A skipped item changes neither the basis nor mu.  A new lead that is not
     an unfound lead of G shows that the inputs were no reduced basis, and
     raises a UsageError.  The run builds no reduced basis of its own.
@@ -483,11 +483,9 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
         if take_seed:
             f = seeds[nxt][1]
             nxt += 1
-            if quota and (low is None or max(f) < low):
+            if quota and max(f) != low:
                 continue
-            # an input whose lead is unfound is its own remainder: every live
-            # lead is another lead of G, and those divide no term of it
-            r = f if quota and max(f) in ahead else _reduce(f, basis, deg if forms else None)
+            r = f if quota else _reduce(f, basis, deg if forms else None)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:

@@ -4,9 +4,9 @@ run_case builds a pseudo-random section, assembles the skew matrix, computes
 the saturated Pfaffian ideals and checks them against the expected invariants.
 A failed expectation marks the report NONGENERIC (genericity is an open
 condition; a bad seed is an outcome, not a crash).  The gallery quintics are
-special sections of c5w25's bundle, built by the same c5w25_matrix.  Reports
-are self-contained: every verdict is recomputed from fields stored in the
-report.
+sections of c5w25's bundle, built by c5w25_matrix and recorded as their Pf4
+ideals, which Buchsbaum-Eisenbud makes saturated in codimension 3.  Reports
+are self-contained: every verdict is recomputed from the report's fields.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _run_c5w25(prime: int, seed: int) -> CaseReport:
     raw = pfaffian_ideal(M, 4)
     report.timings["pfaffians"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    # already saturated for generic sections; saturation applied for uniformity
+    # removes any component inside z5 = 0, which decides verdicts at p = 2, 3
     sat = saturate(raw, M.ring.variable(4))
     report.timings["saturation"] = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -350,23 +350,25 @@ def example_gallery(name: str, prime: int = 101) -> CaseReport:
     report = CaseReport(f"example:{name}", prime, None, None)
 
     t0 = time.perf_counter()
-    # saturate at the irrelevant ideal: these sections are deliberately
-    # non-generic and may have components inside any coordinate hyperplane
-    sat = saturate_by_ideal(pfaffian_ideal(M, 4), Ideal(M.ring, list(M.ring.gens())))
-    rec = _record("pfaffian4", sat, hilbert(sat), with_numerator=True)
+    # I = Pf4 as built: saturating by the irrelevant ideal m would remove only
+    # a component at the origin.  That keeps the Hilbert polynomial, and each
+    # where() kernel, a prime P != m, holds I iff it holds I : m^infty.  The
+    # other fields change only if I is unsaturated, but Buchsbaum-Eisenbud
+    # makes a codim-3 I saturated (depth R/I = 2); else hilbert_polynomial fails.
+    pf4 = pfaffian_ideal(M, 4)
+    rec = _record("pfaffian4", pf4, hilbert(pf4), with_numerator=True)
     report.records.append(rec)
     report.timings["ideal"] = time.perf_counter() - t0
     report.verdicts.append(
         Verdict("hilbert_polynomial", "5*t", str(rec.hilbert_polynomial)))
 
-    gens = sat.groebner_basis().elements
     param = PolynomialRing(prime=prime, variables=("a", "b"))
     a, b = param.gens()
     zero, one = param.zero(), param.one()
 
     def where(images) -> str:
-        """Does every basis element pull back to 0 along z_k -> images[k]?"""
-        on = all(g.substitute(images).is_zero() for g in gens)
+        """Does every generator pull back to 0 along z_k -> images[k]?"""
+        on = all(g.substitute(images).is_zero() for g in pf4.generators)
         return "on curve" if on else "off curve"
 
     if name == "nodal":

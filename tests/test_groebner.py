@@ -364,6 +364,26 @@ def test_row_rule_builds_no_column_map(monkeypatch):
     assert got == expected and got != f
 
 
+def test_quota_run_rejects_a_basis_that_is_not_reduced(rxyz):
+    """A quota run over x^2 + y^2, xy, z^3, no Groebner basis, meets the S-pair
+    lead y^3, which is no lead of the inputs, and raises.  The guard sees
+    only new leads in a degree that still has an unfound lead: over
+    x^2 + y^2, xy alone degree 3 has none, the pair is skipped, and the run
+    returns mu = {2: 2} without an error."""
+    import theta_loci.groebner as groebner
+
+    x, y, z = rxyz.gens()
+    order = MonomialOrder(3)
+
+    def quota_run(*gens):
+        return groebner._buchberger_dicts([groebner._to_dict(g, order) for g in gens],
+                                          rxyz.prime, order, quota=True)
+
+    with pytest.raises(UsageError, match="a quota run's inputs must be a reduced basis"):
+        quota_run(x * x + y * y, x * y, z ** 3)
+    assert quota_run(x * x + y * y, x * y)[1] == {2: 2}
+
+
 def test_elimination_order_blocks():
     order = MonomialOrder(3, drop=(0,))
     # any monomial with the dropped variable dominates any without

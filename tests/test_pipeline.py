@@ -125,6 +125,20 @@ def test_gallery_all_pass():
         assert hp == "5*t"
 
 
+def test_gallery_pf4_ideals_are_saturated():
+    """The gallery records each quintic's Pf4 ideal as built, unsaturated:
+    in codimension 3 the Buchsbaum-Eisenbud resolution has length 3, so the
+    ideal is its own saturation by the irrelevant ideal.  Checked here
+    against saturate_by_ideal at small, medium and large primes."""
+    for prime in (2, 3, 5, 101, 32003, 2**31 - 1):
+        for name in GALLERY:
+            M = c5w25_matrix(TensorSection.from_dict(prime, _SECTIONS[name]))
+            ring = M.ring
+            pf4 = pfaffian_ideal(M, 4)
+            assert ring.nvars - hilbert(pf4).krull_dimension == 3, (name, prime)
+            assert saturate_by_ideal(pf4, Ideal(ring, ring.gens())) == pf4, (name, prime)
+
+
 def test_gallery_membership_checks():
     rep = example_gallery("pentagon")
     verdicts = {v.name: v.actual for v in rep.verdicts}
@@ -234,21 +248,25 @@ def test_c3c3c3_reuses_computed_bases(monkeypatch):
 
 
 def test_runs_that_know_their_answer_stop_early(monkeypatch):
-    """Engine work, counted at _reduce and _spoly, of w39 seed 1 at 101 and
-    c3c3c3 seed 1 at 32003 (containment tests outside a run included).  J's
-    quota run over its reduced basis makes no zero reduction: it skips every
-    pair and input that cannot reach one of the basis's unfound leads.  K's
-    dividing run stops at the normal form whose remainder is c * z9^e, which
-    becomes the unit ideal's constant once z9^e is divided out."""
+    """Engine work, counted at _reduce and _spoly, of w39 seed 1 at 101,
+    c3c3c3 seed 1 at 32003 (containment tests outside a run included) and
+    the five gallery examples at 101.  J's quota run over its reduced basis
+    makes no zero reduction: it skips every pair and input that cannot reach
+    one of the basis's unfound leads.  K's dividing run stops at the normal
+    form whose remainder is c * z9^e, which becomes the unit ideal's
+    constant once z9^e is divided out.  The gallery's Pf4 ideals are
+    recorded unsaturated, one degrevlex run each, and none of w39, c3c3c3,
+    c5w25 or the gallery runs a block elimination order."""
     import theta_loci.groebner as groebner
 
-    runs = []
+    runs, orders = [], []
     total = {"forms": 0, "zero": 0, "pairs": 0}
     engine, reduce_, spoly = groebner._buchberger_dicts, groebner._reduce, groebner._spoly
 
     def counted_engine(inputs, p, order, **kwargs):
         run = {"keywords": sorted(kwargs), "order": order, "remainders": [], "pairs": 0}
         runs.append(run)
+        orders.append(order.descriptor)
         run["out"] = engine(inputs, p, order, **kwargs)
         return run["out"]
 
@@ -287,6 +305,17 @@ def test_runs_that_know_their_answer_stop_early(monkeypatch):
     total.update(forms=0, zero=0, pairs=0)
     assert run_case("c3c3c3", prime=32003, seed=1).status == "PASS"
     assert total == {"forms": 514, "zero": 344, "pairs": 226}
+
+    # the gallery's Pf4 ideals are saturated already: one degrevlex run each
+    runs.clear()
+    total.update(forms=0, zero=0, pairs=0)
+    for name in GALLERY:
+        assert example_gallery(name).status == "PASS"
+    assert (len(runs), total) == (5, {"forms": 79, "zero": 38, "pairs": 28})
+    assert [(r["keywords"], r["order"].descriptor) for r in runs] == [([], "degrevlex")] * 5
+
+    assert run_case("c5w25", seed=1).status == "PASS"
+    assert len(orders) == 21 and not [d for d in orders if d.startswith("eliminate")]
 
 
 def test_recombination_certificate_sees_a_smaller_ideal():
