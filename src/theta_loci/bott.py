@@ -27,12 +27,13 @@ Line-bundle translation conventions:
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations, pairwise, permutations,
                        product, starmap)
-from math import comb, log2, prod
+from math import comb, log2, log10, prod
 from operator import add, mul, sub
 
 from .errors import UsageError
@@ -114,14 +115,21 @@ def weyl_dim_type_c(lam, n: int) -> int:
 def _quotient(up: Counter, down: Counter) -> int:
     """prod(up) // prod(down) over the counted factors, after cancelling the
     factors both count ((1^3000) at n = 3000 would multiply out superfactorials
-    of 42M bits); pairwise, since one factor at a time is quadratic."""
-    sides = []
-    for side in (up - down, down - up):
+    of 42M bits); pairwise, since one factor at a time is quadratic.  An
+    answer whose log10 passes Python's int-to-text digit limit (0: none) by
+    more than one, the slack for rounding, is refused before any product."""
+    sides = (up - down, down - up)
+    logs = [sum(k * log10(f) for f, k in side.items()) for side in sides]
+    limit = sys.get_int_max_str_digits()
+    if limit and logs[0] - logs[1] > limit + 1:
+        raise UsageError(f"the answer has an integer of more than {limit} digits")
+    out = []
+    for side in sides:
         terms = [f ** k for f, k in side.items()]
         while len(terms) > 1:
             terms = [prod(terms[k:k + 2]) for k in range(0, len(terms), 2)]
-        sides.append(prod(terms))
-    return sides[0] // sides[1]
+        out.append(prod(terms))
+    return out[0] // out[1]
 
 
 # ---------------------------------------------------------------------------

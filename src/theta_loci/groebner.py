@@ -703,19 +703,6 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
                         if not max(d) >> order._shift])
 
 
-def _keeping_basis(gb: GroebnerBasis, src: Ideal) -> Ideal:
-    """The ideal generated by gb, with gb cached on it.
-
-    gb must be a basis of src.  It is cached only when src's generators are
-    homogeneous: mu counts minimal generators only then, and an inhomogeneous
-    ideal can have a homogeneous basis ((x + y^2, y^2) has basis (x, y^2)).
-    """
-    out = Ideal(gb.ring, gb.elements)
-    if src.homogeneous:
-        out._gb_cache[gb.order] = gb
-    return out
-
-
 def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     """I : z_i^infty for homogeneous I, under degrevlex with z_i last.
 
@@ -725,8 +712,9 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     that is shorter, divides each new element by the power of z_i in its
     lead as it is found (divide_last in _buchberger_dicts; Bayer-Stillman
     1987).  That run counts mu only when it divided nothing; after a division
-    generator_profile counts it, if it is ever read.  A run that divided
-    nothing built a basis of I itself, so it is cached on I as well.
+    generator_profile counts it, if it is ever read.  The saturation carries
+    that basis; a run that divided nothing built a basis of I itself, so it
+    is cached on I as well.
     """
     ring, n = ideal.ring, ideal.ring.nvars
     order = MonomialOrder(n, last=i)
@@ -742,7 +730,9 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
                            tuple(_from_dict(d, ring, order) for d in out), mu)
         if mu is not None:  # nothing divided: gb is a basis of I as well
             ideal._gb_cache[order.descriptor] = gb
-    return _keeping_basis(gb, ideal)
+    sat = Ideal(ring, gb.elements)
+    sat._gb_cache[order.descriptor] = gb
+    return sat
 
 
 def _variable_index(f: Polynomial) -> int | None:
@@ -827,8 +817,7 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
     The intersection S of the saturations so far is kept, and a generator g
     with g*S <= I is skipped: then S <= I : g <= I : g^infty, so meeting S
     with I : g^infty would give S back.  _inside decides g*S <= I from a
-    basis I already carries, and without one the saturation by g runs.  The
-    result is generated by its degrevlex basis, which it carries.
+    basis I already carries, and without one the saturation by g runs.
     """
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
@@ -840,7 +829,7 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
             continue  # g*S <= I puts S in I : g^infty
         sat = saturate(a, g)
         out = sat if out is None else ideal_intersection(out, sat)
-    return _keeping_basis(out.groebner_basis(), out)
+    return out
 
 
 # ---------------------------------------------------------------------------

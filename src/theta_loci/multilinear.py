@@ -1,13 +1,16 @@
 """Skew-symmetric matrices of linear forms, Pfaffians, and section builders.
 
-Two section-to-matrix constructions are provided:
+One private builder, _linear_matrix, turns a section into a matrix: each
+term ((a, i, j), c) adds c * z_a at (i, j) and -c * z_a at (j, i), giving
+sum_a z_a * M_a.  Two section types feed it:
 
-* ``w39_matrix``: a degree-3 alternating tensor in 9 variables is comultiplied
-  into a skew 9x9 matrix of linear forms; deleting the chart row/column gives
-  the 8x8 matrix whose Pfaffian ideals cut out the degeneracy loci.  The chart
-  variable stays live in the entries; the pipeline saturates by it afterwards.
-* ``c5w25_matrix``: an element of C^5 tensor (wedge^2 C^5), presented as five
-  constant skew matrices M_a, becomes sum_a z_a * M_a.
+* ``w39_matrix``: a degree-3 alternating tensor on C^9.  Each e_i ^ e_j ^ e_k
+  is comultiplied into its three placements in the skew 9x9 matrix, and
+  those on the chart row or column are dropped, leaving the 8x8 matrix whose
+  Pfaffian ideals cut out the degeneracy loci.  The chart variable stays
+  live in the entries; the pipeline saturates by it afterwards.
+* ``c5w25_matrix``: an element of C^5 tensor (wedge^2 C^5), whose terms are
+  already of that form.
 
 Sections are drawn deterministically with splitmix64: coefficient = next64
 mod p, index tuples consumed in lexicographic order.  This is bit-exact
@@ -228,49 +231,41 @@ class TensorSection:
         return cls(prime, tuple(sorted(items)))
 
 
-def w39_ring(prime: int = 101) -> PolynomialRing:
-    return PolynomialRing(prime=prime, nvars=9)
+def _linear_matrix(ring: PolynomialRing, size: int, terms) -> SkewMatrix:
+    """size x size skew matrix with c * z_a added at (i, j) for each term
+    ((a, i, j), c), 1-based with i < j."""
+    z = ring.gens()
+    upper: dict[tuple[int, int], Polynomial] = {}
+    for (a, i, j), c in terms:
+        key = (i - 1, j - 1)
+        upper[key] = upper.get(key, ring.zero()) + z[a - 1].scale(c)
+    return SkewMatrix.from_upper(ring, size, upper)
 
 
 def w39_matrix(v: AlternatingVector, chart: int = 9) -> SkewMatrix:
     """8x8 comultiplication matrix of a degree-3 tensor in the given chart.
 
-    Each basis tensor e_i ^ e_j ^ e_k (i<j<k) contributes the antisymmetric
-    placements (i,j) -> -z_k, (i,k) -> +z_j, (j,k) -> -z_i to the full 9x9
-    matrix; the chart row and column are then deleted.  For chart 9 this is
-    the literal transcription of the matrix builder used for these loci.
+    Each basis tensor e_i ^ e_j ^ e_k (i<j<k) with coefficient c has the
+    antisymmetric placements (i,j) -> -c z_k, (i,k) -> +c z_j and
+    (j,k) -> -c z_i in the 9x9 matrix.  Placements on the chart row or
+    column are dropped and the rows past the chart move up by one, so the
+    9x9 matrix is never built.  For chart 9 this is the literal
+    transcription of the matrix builder used for these loci.
     """
     if v.ambient != 9 or v.degree != 3:
         raise UsageError("w39_matrix needs a degree-3 tensor on C^9")
     if not 1 <= chart <= 9:
         raise UsageError("chart must be in 1..9")
-    ring = w39_ring(v.prime)
-    z = ring.gens()
-    full: dict[tuple[int, int], Polynomial] = {}
-
-    def put(a: int, b: int, f: Polynomial) -> None:
-        # (a, b) 1-based with a < b expected by from_upper after shift
-        key = (a - 1, b - 1)
-        full[key] = full.get(key, ring.zero()) + f
-
-    for (i, j, k), c in sorted(v.coefficients.items()):
-        put(i, j, -z[k - 1].scale(c))
-        put(i, k, z[j - 1].scale(c))
-        put(j, k, -z[i - 1].scale(c))
-    big = SkewMatrix.from_upper(ring, 9, full)
-    keep = [i for i in range(9) if i != chart - 1]
-    return big.submatrix(keep)
+    terms = [((a, r - (r > chart), s - (s > chart)), sign * c)
+             for (i, j, k), c in v.coefficients.items()
+             for r, s, a, sign in ((i, j, k, -1), (i, k, j, 1), (j, k, i, -1))
+             if chart not in (r, s)]
+    return _linear_matrix(PolynomialRing(prime=v.prime, nvars=9), 8, terms)
 
 
 def c5w25_matrix(v: TensorSection) -> SkewMatrix:
     """5x5 matrix sum_a z_a * M_a; term e_a (x) (e_i ^ e_j) puts z_a at (i, j)."""
-    ring = PolynomialRing(prime=v.prime, nvars=5)
-    z = ring.gens()
-    upper: dict[tuple[int, int], Polynomial] = {}
-    for (a, i, j), c in v.terms:
-        key = (i - 1, j - 1)
-        upper[key] = upper.get(key, ring.zero()) + z[a - 1].scale(c)
-    return SkewMatrix.from_upper(ring, 5, upper)
+    return _linear_matrix(PolynomialRing(prime=v.prime, nvars=5), 5, v.terms)
 
 
 _CASE_INDICES = {

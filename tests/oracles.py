@@ -15,6 +15,9 @@ the containment shortcut of ideal_intersection that the tests check.
 degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
 tests can hold the engine's packed keys against it; order_key is the key an
 order gives an exponent tuple, its ring key moved into the order.
+w39_matrix_by_deletion builds the whole skew 9x9 comultiplication matrix
+of a degree-3 tensor and deletes the chart row and column, so the tests can
+hold w39_matrix, which never builds the 9x9 matrix, against it.
 cofactor_determinant expands a determinant along its first row, a path that
 shares nothing with the Pfaffian recursion, so the tests can check Pf^2 = det.
 matching_pfaffian sums over perfect matchings, each signed by its number of
@@ -40,7 +43,8 @@ from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 
 from theta_loci.groebner import Ideal, _contract_t
-from theta_loci.poly import Polynomial, _revkey
+from theta_loci.multilinear import SkewMatrix
+from theta_loci.poly import Polynomial, PolynomialRing, _revkey
 from theta_loci.vinberg import _TRIPLE_INDEX, TRIPLES
 
 
@@ -137,6 +141,20 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
         return Ideal(ring, [exact_divide(h, g) for h in meet.generators])
 
     return reduce(intersection_by_elimination, map(part, b.generators))
+
+
+def w39_matrix_by_deletion(v, chart: int = 9) -> SkewMatrix:
+    """The 8x8 chart matrix of a degree-3 tensor on C^9: e_i ^ e_j ^ e_k
+    with coefficient c adds -c z_k at (i, j), +c z_j at (i, k) and -c z_i at
+    (j, k) of the 9x9 matrix, whose chart row and column are then deleted."""
+    ring = PolynomialRing(prime=v.prime, nvars=9)
+    z = ring.gens()
+    full = {}
+    for (i, j, k), c in v.coefficients.items():
+        for r, s, f in ((i, j, -z[k - 1]), (i, k, z[j - 1]), (j, k, -z[i - 1])):
+            full[(r - 1, s - 1)] = full.get((r - 1, s - 1), ring.zero()) + f.scale(c)
+    big = SkewMatrix.from_upper(ring, 9, full)
+    return big.submatrix(i for i in range(9) if i != chart - 1)
 
 
 def cofactor_determinant(matrix) -> Polynomial:

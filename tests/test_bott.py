@@ -1,10 +1,11 @@
 """Dotted action, dimension formulas, resolution cohomology, Verlinde."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
-from math import comb
+from itertools import combinations_with_replacement, count, permutations
+from math import comb, log10
 
 import pytest
 import sympy
@@ -214,6 +215,18 @@ def test_schur_dim_weyl_formula():
         lam = tuple(x for x in parts for _ in range(rng.randint(1, 6)))
         for n in (len(lam), len(lam) + 1, len(lam) + 7):
             assert schur_dim(lam, n) == hook_content_dim(lam, n), (lam, n)
+
+
+def test_schur_dim_refuses_a_too_long_answer_before_the_product():
+    """The staircase (t, ..., 1) at n = t has rank 2^C(t, 2).  For the least
+    t whose rank has more digits than the int-to-text limit plus one,
+    schur_dim refuses with the text the CLI gives an answer it cannot
+    print; one row less still gives its rank."""
+    limit = sys.get_int_max_str_digits()
+    t = next(t for t in count(2) if comb(t, 2) * log10(2) > limit + 1)
+    with pytest.raises(UsageError, match=f"more than {limit} digits"):
+        schur_dim(range(t, 0, -1), t)
+    assert schur_dim(range(t - 1, 0, -1), t - 1) == 2 ** comb(t - 1, 2)
 
 
 def test_schur_dim_counts_ssyt():

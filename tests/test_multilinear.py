@@ -9,11 +9,10 @@ import pytest
 from theta_loci.errors import UsageError
 from theta_loci.multilinear import (AlternatingVector, SkewMatrix, SplitMix64,
                                     TensorSection, c5w25_matrix, pfaffian,
-                                    pfaffian_ideal, random_section, w39_matrix,
-                                    w39_ring)
+                                    pfaffian_ideal, random_section, w39_matrix)
 from theta_loci.poly import PolynomialRing
 
-from oracles import cofactor_determinant, matching_pfaffian
+from oracles import cofactor_determinant, matching_pfaffian, w39_matrix_by_deletion
 
 
 def test_skew_construction_validated():
@@ -196,7 +195,7 @@ def test_pfaffian_ideal_cubic_count_on_8x8():
 
 
 def test_w39_matrix_single_triples():
-    ring = w39_ring(101)
+    ring = PolynomialRing(prime=101, nvars=9)
     z = ring.gens()
     v = AlternatingVector(9, 3, 101, {(5, 6, 7): 1})
     m = w39_matrix(v)
@@ -221,7 +220,7 @@ def test_w39_matrix_single_triples():
 
 def test_w39_matrix_matches_literal_transcription():
     """Chart 9 agrees with the literal per-triple matrix builder."""
-    ring = w39_ring(101)
+    ring = PolynomialRing(prime=101, nvars=9)
     z = ring.gens()
 
     def basic_mat(s):
@@ -241,6 +240,19 @@ def test_w39_matrix_matches_literal_transcription():
                                    for row in contrib.entries])
         total = total + scaled
     assert w39_matrix(v).entries == total.entries
+
+
+@pytest.mark.parametrize("case", ["w39", "c3c3c3"])
+def test_w39_matrix_equals_the_9x9_matrix_without_the_chart(case):
+    """w39_matrix places each term straight into the 8x8 chart matrix; it
+    equals the whole 9x9 comultiplication matrix with the chart row and
+    column deleted, on every chart."""
+    for prime in (2, 101, 32003):
+        for seed in (1, 2):
+            v = random_section(case, seed, prime)
+            for chart in range(1, 10):
+                want = w39_matrix_by_deletion(v, chart)
+                assert w39_matrix(v, chart).entries == want.entries, (prime, seed, chart)
 
 
 def test_w39_linearity():
