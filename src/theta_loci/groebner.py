@@ -25,9 +25,15 @@ adds at most (p - 1)^2, so it never carries into the next.  A form takes a
 row when it has at least a quarter of its degree's monomials,
 4 * len(f) >= ncols, or when it has at least 64 terms and
 256 * len(f) >= ncols * W, since a row step costs big-integer work in
-proportion to ncols * W; every other form takes the sparse loop.  The row
-loop pops the same terms in the same order and asks find_reducer the same
-questions as the sparse loop, so it returns the same remainder.
+proportion to ncols * W; every other form takes the sparse loop.  An S-pair
+(i, j) with lcm L whose two tails together pass that rule starts as the
+packed row row(i, L - lead_i) + (p - 1) * row(j, L - lead_j) of two cached
+rows, with no dict built: a slot then starts at most (p - 1) + (p - 1)^2,
+below L's column, so at most ncols - 1 steps follow and the same W holds.
+Each column remembers its reducer and that reducer's row while the answer
+stays valid, and a step clears the top slot by an XOR.  The row loop pops
+the same terms in the same order and takes the same first live divisor as
+the sparse loop, so it returns the same remainder.
 
 A run whose result is already known stops its work early.  A run that puts
 a nonzero constant into its basis returns the unit ideal's basis at once,
@@ -169,8 +175,9 @@ class _Basis:
         self.alive: list[bool] = []
         # find_reducer's answers, valid for good (see find_reducer)
         self.found: dict[int, int] = {}
-        # the dense path's column maps by degree and packed rows by
-        # (element, shift); an element never changes once added
+        # the dense path's column maps and column reducers by degree (see
+        # _columns) and packed rows by (element, shift); an element never
+        # changes once added
         self.columns: dict[int, tuple] = {}
         self.rows: dict[tuple[int, int], int] = {}
 
@@ -255,11 +262,18 @@ def _width(p: int, ncols: int) -> int:
 
 
 def _columns(basis: _Basis, d: int) -> tuple:
-    """(keys, plain packings, {key: slot}, slot width W) of the degree-d
-    monomials, slot 0 the smallest key, so that the top slot is the lead.
+    """(keys, plain packings, {key: slot}, slot width W, reducers, reducer
+    rows) of the degree-d monomials, slot 0 the smallest key, so that the
+    top slot is the lead.
 
     A degree-d ring key is d * B^n minus its plain packing, and the order
     moves it to its own key, so the map is built from the packings alone.
+    reducers[j] and reducer_rows[j] remember column j's reducer and the
+    packed tail of its multiple.  A reducer i >= 0 stays valid while element
+    i is alive, and -1 - n, no reducer among the first n elements, while the
+    basis has n elements: as with find_reducer's memo, elements are only
+    appended and only ever die, so the first live divisor stays the first
+    while it lives.  The entries start at -1, valid while the basis is empty.
     """
     cols = basis.columns.get(d)
     if cols is None:
@@ -271,75 +285,112 @@ def _columns(basis: _Basis, d: int) -> tuple:
                                         combinations_with_replacement(range(n), d)]))
         pks = [top - (k & order._low) for k in keys]  # k & _low: the ring key
         width = _width(p, len(keys))
-        cols = basis.columns[d] = (keys, pks, {k: j for j, k in enumerate(keys)}, width)
+        cols = basis.columns[d] = (keys, pks, {k: j for j, k in enumerate(keys)}, width,
+                                   [-1] * len(keys), [0] * len(keys))
     return cols
 
 
-def _normal_form_dense(f: dict[int, int], basis: _Basis, d: int) -> dict[int, int]:
+def _row(basis: _Basis, i: int, shift: int, cols: tuple) -> int:
+    """The packed tail of element i times the monomial of key shift, in the
+    column map cols of its degree; packed once, from the top term down, one
+    shift and one or per term (the first shift moves a zero)."""
+    row = basis.rows.get((i, shift))
+    if row is None:
+        _, _, col, width = cols[:4]
+        p = basis.p
+        row, at = 0, len(col)
+        for tk, tc in reversed(basis.tail[i]):
+            t = col[tk + shift]
+            row = (row << (width * (at - t))) | (tc % p)
+            at = t
+        row = basis.rows[i, shift] = row << (width * at)
+    return row
+
+
+def _normal_form_dense(f: dict[int, int] | int, basis: _Basis, d: int) -> dict[int, int]:
     """_normal_form_dict(f, basis) for a degree-d form f, under an order with
-    no drop block, with f packed as one integer row.
+    no drop block, with f a dict or already packed as one integer row.
 
     Slot j, W bits wide, holds the coefficient of the j-th smallest degree-d
-    monomial.  A step reads the top nonzero slot mod p, clears it, and, if a
-    basis lead divides that monomial, adds (p - c) times the packed tail of
-    the reducer's multiple, whose slots all lie below.  Slots start in
-    [0, p), and each step adds at most (p - 1)^2 to a slot; every step
-    clears a lower slot than the one before, so there are at most ncols
-    steps and a slot stays at most (p - 1) + ncols * (p - 1)^2, which fits
-    W = bit_length((p - 1) + ncols * (p - 1)^2) bits without a carry into
-    the next slot.  The terms are popped in the same order and find_reducer
-    sees the same basis, so the remainder is the sparse loop's.
+    monomial.  A step reads the top nonzero slot mod p, clears it by an XOR
+    (v << s holds exactly the row's bits at or above s), and, if a basis lead
+    divides that monomial, adds (p - c) times the packed tail of the
+    reducer's multiple, whose slots all lie below.  A packed dict starts its
+    slots in [0, p) and a packed S-pair (_spoly) at most (p - 1) + (p - 1)^2,
+    with every slot below the lcm's column.  Each step adds at most
+    (p - 1)^2 to a slot, and every step clears a lower slot than the one
+    before, so there are at most ncols steps for a dict and ncols - 1 for a
+    pair; either way a slot stays at most (p - 1) + ncols * (p - 1)^2, which
+    fits W = bit_length((p - 1) + ncols * (p - 1)^2) bits without a carry
+    into the next slot.  The terms are popped in the same order and each
+    reducer is the first live divisor, as find_reducer gives it, so the
+    remainder is the sparse loop's.  A column's reducer and row are read
+    from the column cache (_columns) while its entry is valid, and asked of
+    find_reducer and _row otherwise.
     """
-    keys, pks, col, width = _columns(basis, d)
+    cols = _columns(basis, d)
+    keys, pks, col, width, reducers, reducer_rows = cols
     p = basis.p
-    find_reducer = basis.find_reducer
-    lead_key, tail, rows = basis.lead_key, basis.tail, basis.rows
-    r = 0
-    for k, c in f.items():
-        r += (c % p) << (width * col[k])
+    find_reducer, alive, lead_key = basis.find_reducer, basis.alive, basis.lead_key
+    none = -1 - len(lead_key)  # no reducer in the basis as it stands
+    if isinstance(f, int):
+        r = f
+    else:
+        r = 0
+        for k, c in f.items():
+            r += (c % p) << (width * col[k])
     out: dict[int, int] = {}
     while r:
         j = (r.bit_length() - 1) // width
         s = width * j
         v = r >> s
-        r -= v << s
+        r ^= v << s
         c = v % p
         if not c:
             continue
-        i = find_reducer(pks[j])
-        if i < 0:
+        i = reducers[j]
+        if i >= 0 and alive[i]:
+            row = reducer_rows[j]
+        elif i == none:
             out[keys[j]] = c
             continue
-        shift = keys[j] - lead_key[i]
-        row = rows.get((i, shift))
-        if row is None:
-            # packed from the top term down, one shift and one or per term
-            row, at = 0, j
-            for tk, tc in reversed(tail[i]):
-                t = col[tk + shift]
-                row = (row << (width * (at - t))) | (tc % p)
-                at = t
-            row = rows[i, shift] = row << (width * at)
+        else:
+            i = find_reducer(pks[j])
+            if i < 0:
+                reducers[j] = none
+                out[keys[j]] = c
+                continue
+            reducers[j] = i
+            row = reducer_rows[j] = _row(basis, i, keys[j] - lead_key[i], cols)
         r += (p - c) * row
     return out
 
 
-def _reduce(f: dict[int, int], basis: _Basis, d: int | None) -> dict[int, int]:
-    """The engine's normal form of f; d is f's degree when f is a form under
-    an order with no drop block, else None.
+def _dense(t: int, basis: _Basis, d: int | None) -> bool:
+    """Does a degree-d form with t terms take the row loop?  d is as in
+    _reduce: None takes the sparse loop.
 
-    A degree-d form is reduced as a packed row when it has at least a
-    quarter of the ncols = C(n + d - 1, d) monomials of its degree, or when
-    it has at least 64 terms and 256 * len(f) >= ncols * W, W the slot width
-    of _width: a row step costs big-integer work in proportion to ncols * W,
-    and below 64 terms the sparse loop is cheap at any width.  ncols and W
-    are counted, not listed, so deciding builds no column map.
+    A form does when it has at least a quarter of the ncols = C(n + d - 1, d)
+    monomials of its degree, or when it has at least 64 terms and
+    256 * t >= ncols * W, W the slot width of _width: a row step costs
+    big-integer work in proportion to ncols * W, and below 64 terms the
+    sparse loop is cheap at any width.  ncols and W are counted, not listed,
+    so deciding builds no column map.
     """
     # below _MAXEXP every degree-d monomial is one plain() accepts
-    if d is not None and d < _MAXEXP:
-        t, ncols = len(f), comb(basis.order.nvars + d - 1, d)
-        if 4 * t >= ncols or (t >= 64 and 256 * t >= ncols * _width(basis.p, ncols)):
-            return _normal_form_dense(f, basis, d)
+    if d is None or d >= _MAXEXP:
+        return False
+    ncols = comb(basis.order.nvars + d - 1, d)
+    return 4 * t >= ncols or (t >= 64 and 256 * t >= ncols * _width(basis.p, ncols))
+
+
+def _reduce(f: dict[int, int] | int, basis: _Basis, d: int | None) -> dict[int, int]:
+    """The engine's normal form of f, a dict or a packed row of _spoly; d is
+    f's degree when f is a form under an order with no drop block, else
+    None.  A packed row goes straight to the row loop, and a dict takes it
+    when _dense says so."""
+    if isinstance(f, int) or _dense(len(f), basis, d):
+        return _normal_form_dense(f, basis, d)
     return _normal_form_dict(f, basis)
 
 
@@ -352,21 +403,35 @@ def _monic(d: dict[int, int], p: int) -> dict[int, int]:
     return {k: (c * inv) % p for k, c in d.items()}
 
 
-def _spoly(basis: _Basis, i: int, j: int, lcm_key: int) -> dict[int, int]:
+def _spoly(basis: _Basis, i: int, j: int, lcm_key: int,
+           d: int | None) -> dict[int, int] | int:
+    """The S-polynomial m_i * tail_i - m_j * tail_j of the pair (i, j) with
+    lcm lcm_key, m the monomial that lifts a lead to the lcm; d is as in
+    _reduce.
+
+    When _dense holds on len(tail_i) + len(tail_j), it is the packed row
+    row(i, m_i) + (p - 1) * row(j, m_j) from the cached rows (_row), a slot
+    at most (p - 1) + (p - 1)^2 and every slot below the lcm's column; no
+    dict is built and nothing is repacked.  Otherwise it is a dict of its
+    nonzero coefficients mod p.
+    """
     p = basis.p
     si = lcm_key - basis.lead_key[i]
     sj = lcm_key - basis.lead_key[j]
-    d: dict[int, int] = {}
+    if _dense(len(basis.tail[i]) + len(basis.tail[j]), basis, d):
+        cols = _columns(basis, d)
+        return _row(basis, i, si, cols) + (p - 1) * _row(basis, j, sj, cols)
+    out: dict[int, int] = {}
     for tk, tc in basis.tail[i]:
-        d[tk + si] = tc
+        out[tk + si] = tc
     for tk, tc in basis.tail[j]:
         k = tk + sj
-        c = (d.get(k, 0) - tc) % p
+        c = (out.get(k, 0) - tc) % p
         if c:
-            d[k] = c
-        elif k in d:
-            del d[k]
-    return d
+            out[k] = c
+        elif k in out:
+            del out[k]
+    return out
 
 
 def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder,
@@ -477,6 +542,7 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
     while nxt < len(seeds) or pairs:
         take_seed = nxt < len(seeds) and (not pairs or seeds[nxt][0] < pairs[0][0])
         deg = seeds[nxt][0] if take_seed else pairs[0][0]
+        form_deg = deg if forms else None
         if quota:
             ahead = unfound.get(deg)
             low = min(ahead) if ahead else None  # None: the degree is done
@@ -485,14 +551,14 @@ def _buchberger_dicts(inputs: list[dict[int, int]], p: int, order: MonomialOrder
             nxt += 1
             if quota and max(f) != low:
                 continue
-            r = f if quota else _reduce(f, basis, deg if forms else None)
+            r = f if quota else _reduce(f, basis, form_deg)
             if r:
                 mu[deg] = mu.get(deg, 0) + 1
         else:
             _, lk, i, j, _ = heapq.heappop(pairs)
             if quota and (low is None or lk <= low):
                 continue
-            r = _reduce(_spoly(basis, i, j, lk), basis, deg if forms else None)
+            r = _reduce(_spoly(basis, i, j, lk, form_deg), basis, form_deg)
         if r:
             r = _monic(r, p)
             e = (order.plain(max(r)) >> zshift) & _MASK if divide_last else 0

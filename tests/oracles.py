@@ -15,6 +15,10 @@ the containment shortcut of ideal_intersection that the tests check.
 degrevlex_cmp compares exponent tuples by the definition of degrevlex, so the
 tests can hold the engine's packed keys against it; order_key is the key an
 order gives an exponent tuple, its ring key moved into the order.
+unpack_row reads a packed row of the engine's row loop back into a
+{key: coefficient} dict slot by slot, from the column map of its degree, so
+the tests can hand a packed S-pair to the sparse loop and compare it with
+the S-polynomial built as a dict.
 w39_matrix_by_deletion builds the whole skew 9x9 comultiplication matrix
 of a degree-3 tensor and deletes the chart row and column, so the tests can
 hold w39_matrix, which never builds the 9x9 matrix, against it.
@@ -65,6 +69,19 @@ def degrevlex_cmp(a, b) -> int:
 def order_key(order, exps) -> int:
     """The key of the monomial with exponents exps under a MonomialOrder."""
     return order.moved(_revkey(exps))
+
+
+def unpack_row(r: int, basis, d: int) -> dict[int, int]:
+    """{key: coefficient mod p} of the nonzero slots of a packed degree-d row
+    over basis, read off the column map basis.columns[d] (keys, ..., width)."""
+    keys, width = basis.columns[d][0], basis.columns[d][3]
+    mask = (1 << width) - 1
+    out = {}
+    for j, key in enumerate(keys):
+        c = ((r >> (width * j)) & mask) % basis.p
+        if c:
+            out[key] = c
+    return out
 
 
 def hyperoctahedral_word_lengths(n: int) -> dict[tuple[int, ...], int]:

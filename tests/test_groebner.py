@@ -343,7 +343,9 @@ def test_reducer_memo_follows_the_live_leads(rxyz):
 def test_row_rule_builds_no_column_map(monkeypatch):
     """_reduce decides between rows and the sparse loop by arithmetic: a
     3-term form of degree 20 in 12 variables, whose degree has 84,672,315
-    monomials, takes the sparse loop without listing them."""
+    monomials, takes the sparse loop without listing them.  So does
+    _spoly's decision for a pair of sparse degree-20 forms: it builds their
+    degree-21 S-polynomial as a dict."""
     import theta_loci.groebner as groebner
 
     ring = PolynomialRing(prime=32003, nvars=12)
@@ -362,6 +364,15 @@ def test_row_rule_builds_no_column_map(monkeypatch):
     monkeypatch.setattr(groebner, "_columns", build)
     got = groebner._reduce(f, basis, 20)
     assert got == expected and got != f
+
+    monkeypatch.undo()
+    for g in (v[0] ** 20 - v[1] ** 20, v[0] ** 19 * v[1] + 3 * v[2] ** 20):
+        basis.add(groebner._to_dict(g, order))
+    lcm_key = groebner._to_dict(v[0] ** 20 * v[1], order).popitem()[0]
+    # v1 * (v0^20 - v1^20) - v0 * (v0^19 v1 + 3 v2^20)
+    expected = groebner._to_dict(-v[1] ** 21 - 3 * v[0] * v[2] ** 20, order)
+    monkeypatch.setattr(groebner, "_columns", build)
+    assert groebner._spoly(basis, 2, 3, lcm_key, 21) == expected
 
 
 def test_quota_run_rejects_a_basis_that_is_not_reduced(rxyz):

@@ -16,7 +16,8 @@ from theta_loci.pipeline import (_SECTIONS, GALLERY, _is_intersection, _is_penta
                                  generator_profile, report_emit, run_case)
 from theta_loci.poly import PolynomialRing
 
-from oracles import dense_profile, exponents_of_degree, is_pentagon_by_cyclic_order
+from oracles import (dense_profile, exponents_of_degree, is_pentagon_by_cyclic_order,
+                     unpack_row)
 
 GOLDEN = Path(__file__).parent / "data" / "reports"
 
@@ -338,7 +339,11 @@ def test_dense_rows_serve_only_dense_forms(monkeypatch):
     """Which normal forms are reduced as packed rows: nearly all of w39's,
     none of c3c3c3's or the gallery's, whose forms are sparse.  Near
     p = 2^61 a row slot is about three times as wide, and w39 keeps the
-    split of the quarter-density rule alone."""
+    split of the quarter-density rule alone.  An S-pair is decided on the
+    sum of its two tails' lengths, which is at least its number of terms
+    once shared monomials merge or cancel, so 3 of w39's pairs at 101 and 5
+    near 2^61 that the rule left sparse as dicts now start as packed rows:
+    (288, 5) became (291, 2), and (279, 14) became (284, 9)."""
     import theta_loci.groebner as groebner
 
     paths = []
@@ -353,11 +358,46 @@ def test_dense_rows_serve_only_dense_forms(monkeypatch):
         assert job().status == "PASS"
         return paths.count("_normal_form_dense"), paths.count("_normal_form_dict")
 
-    assert split(lambda: run_case("w39", seed=1)) == (288, 5)
-    assert split(lambda: run_case("w39", prime=2 ** 61 - 1, seed=1)) == (279, 14)
+    assert split(lambda: run_case("w39", seed=1)) == (291, 2)
+    assert split(lambda: run_case("w39", prime=2 ** 61 - 1, seed=1)) == (284, 9)
     assert split(lambda: run_case("c3c3c3", prime=32003, seed=1))[0] == 0
     for name in GALLERY:
         assert split(lambda: example_gallery(name))[0] == 0
+
+
+def test_packed_s_pairs_match_the_dict_s_polynomial(monkeypatch):
+    """Every S-pair of w39 seed 1 at 101 and near 2^61, and of five dense
+    quadrics in 6 variables over F_2, is the S-polynomial built as a dict:
+    a packed pair equals it slot for slot mod p, holds nothing at or above
+    the lcm's column, and starts no slot above (p - 1) + (p - 1)^2."""
+    import theta_loci.groebner as groebner
+
+    spoly, packed = groebner._spoly, set()
+
+    def checked(basis, i, j, lcm_key, d):
+        got = spoly(basis, i, j, lcm_key, d)
+        want = spoly(basis, i, j, lcm_key, None)  # d = None: always a dict
+        if isinstance(got, int):
+            keys, _, col, width = basis.columns[d][:4]
+            p, mask = basis.p, (1 << width) - 1
+            assert got >> (width * col[lcm_key]) == 0
+            assert max((got >> (width * j)) & mask
+                       for j in range(len(keys))) <= (p - 1) + (p - 1) ** 2
+            assert unpack_row(got, basis, d) == want
+            packed.add(p)
+        else:
+            assert got == want
+        return got
+
+    monkeypatch.setattr(groebner, "_spoly", checked)
+    for prime in (101, 2 ** 61 - 1):
+        assert run_case("w39", prime=prime, seed=1).status == "PASS"
+    ring = PolynomialRing(prime=2, nvars=6)
+    rng = random.Random(2)
+    quadrics = [ring.from_exponent_dict({e: 1 for e in exponents_of_degree(6, 2)
+                                         if rng.random() < 0.7}) for _ in range(5)]
+    assert Ideal(ring, quadrics).groebner_basis().elements
+    assert packed == {101, 2 ** 61 - 1, 2}
 
 
 def test_nongeneric_is_flagged_not_crashed():

@@ -19,7 +19,7 @@ from theta_loci.groebner import (_MAXEXP, Ideal, MonomialOrder,
 from theta_loci.poly import PolynomialRing, _slot_sum
 
 from oracles import (degrevlex_cmp, intersection_by_elimination, order_key,
-                     saturate_by_iterated_quotient)
+                     saturate_by_iterated_quotient, unpack_row)
 
 NVARS = 4
 # sums of two exponents drawn here stay inside the packed range
@@ -334,22 +334,40 @@ def _full_forms(p):
         for c in combinations_with_replacement(range(3), d)}) for d in (2, 3)]
 
 
+def _full_tails(p):
+    """In 3 variables over F_p, the quadrics with coefficient 1 at x^2 and at
+    xy and p - 1 at every monomial below: monic elements whose S-pair
+    starts the slots both tails reach at (p - 1) + (p - 1)^2."""
+    ring = PolynomialRing(prime=p, nvars=3)
+    monomials = sorted((tuple(c.count(i) for i in range(3))
+                        for c in combinations_with_replacement(range(3), 2)),
+                       key=lambda e: order_key(MonomialOrder(3), e))
+    return ring, [ring.from_exponent_dict({
+        e: 1 if e == lead else p - 1 for e in monomials[:monomials.index(lead) + 1]})
+        for lead in ((2, 0, 0), (1, 1, 0))]
+
+
 @settings(deadline=None)
 @example(_full_forms(2))
 @example(_full_forms(101))
 @example(_full_forms(32003))
 @example(_full_forms(299999999999999999999987))
+@example(_full_tails(2))
+@example(_full_tails(101))
+@example(_full_tails(299999999999999999999987))
 @given(homogeneous_ideals(primes=DENSE_PRIMES))
 def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
     """Every normal form of a run over forms, in a plain, a dividing and a
     quota run under degrevlex with z_n or z_1 last, is the same reduced as a
-    packed row as by the sparse loop, whatever its density."""
+    packed row as by the sparse loop, whatever its density.  A packed
+    S-pair is unpacked for the sparse loop."""
     ring, gens = ring_gens
     seen = []
 
     def both(f, basis, d):
         assert d is not None  # every input is a form
-        sparse = groebner._normal_form_dict(f, basis)
+        sparse = groebner._normal_form_dict(
+            unpack_row(f, basis, d) if isinstance(f, int) else f, basis)
         assert groebner._normal_form_dense(f, basis, d) == sparse
         seen.append(d)
         return sparse
@@ -366,7 +384,8 @@ def test_dense_rows_reduce_like_the_sparse_loop(ring_gens):
 reducer_ops = st.lists(st.one_of(
     st.tuples(st.just("add"), small_exponents),
     st.tuples(st.just("kill"), st.integers(0, 7)),
-    st.tuples(st.just("find"), st.integers(0, 2))), max_size=40)
+    st.tuples(st.just("find"), st.integers(0, 2)),
+    st.tuples(st.just("rows"), st.integers(1, 3))), max_size=40)
 
 
 @settings(deadline=None)
@@ -374,13 +393,30 @@ reducer_ops = st.lists(st.one_of(
          [("find", 0), ("add", (1, 1, 0, 0)), ("find", 0), ("add", (2, 0, 0, 0)),
           ("find", 0), ("kill", 0), ("find", 0), ("kill", 1), ("find", 0),
           ("add", (0, 1, 0, 0)), ("find", 0)])
+@example(MonomialOrder(NVARS), [(1, 1, 0, 0)],
+         [("rows", 2), ("add", (1, 1, 0, 0)), ("rows", 2), ("add", (1, 0, 0, 0)),
+          ("rows", 2), ("kill", 0), ("rows", 2), ("kill", 1), ("rows", 2)])
 @given(orders, st.lists(small_exponents, min_size=1, max_size=3), reducer_ops)
 def test_reducer_memo_answers_like_a_scan_of_the_live_leads(order, lookups, ops):
     """Whatever adds, kills and lookups come before, find_reducer returns
     the first live element whose lead divides the monomial, or -1, also
-    for a monomial whose memoized reducer has since been killed."""
+    for a monomial whose memoized reducer has since been killed.  The row
+    loop's column cache agrees with the same scan after every step: a
+    reducer it still holds as valid is the first live divisor, and a column
+    it holds as having none has none, also after an add gives that column a
+    reducer; reducing the sum of all monomials of a degree by the monomial
+    leads leaves exactly the monomials with no live divisor."""
     basis = groebner._Basis(order, 101)
     leads: list[tuple[int, ...]] = []
+
+    def scan(e):
+        return next((i for i, lead in enumerate(leads) if basis.alive[i]
+                     and all(x <= y for x, y in zip(lead, e))), -1)
+
+    def monomials(d):
+        return [tuple(c.count(i) for i in range(NVARS))
+                for c in combinations_with_replacement(range(NVARS), d)]
+
     for op, arg in ops:
         if op == "add":
             basis.add({order_key(order, arg): 1})
@@ -389,9 +425,18 @@ def test_reducer_memo_answers_like_a_scan_of_the_live_leads(order, lookups, ops)
             basis.kill(arg % len(leads))
         elif op == "find":
             e = lookups[arg % len(lookups)]
-            want = next((i for i, lead in enumerate(leads) if basis.alive[i]
-                         and all(x <= y for x, y in zip(lead, e))), -1)
-            assert basis.find_reducer(order.plain(order_key(order, e))) == want
+            assert basis.find_reducer(order.plain(order_key(order, e))) == scan(e)
+        elif op == "rows":
+            got = groebner._normal_form_dense(
+                {order_key(order, e): 1 for e in monomials(arg)}, basis, arg)
+            assert got == {order_key(order, e): 1 for e in monomials(arg) if scan(e) < 0}
+        none = -1 - len(leads)
+        for d, cols in basis.columns.items():
+            col, reducers = cols[2], cols[4]
+            for e in monomials(d):
+                i = reducers[col[order_key(order, e)]]
+                if (i >= 0 and basis.alive[i]) or i == none:  # held as valid
+                    assert i == (scan(e) if scan(e) >= 0 else none)
 
 
 R3 = PolynomialRing(prime=101, variables=("x", "y", "z"))
