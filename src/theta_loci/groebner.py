@@ -69,6 +69,10 @@ one ideal's generators against a basis the other already carries under
 degrevlex with some z_i last, so they start no engine run; without such a
 basis the skip is not taken, and an intersection of two ideals neither of
 which contains the other takes the t-elimination.
+
+Hilbert data run on the plain packings of the degrevlex basis's leads too:
+the pivot recursion (Bigatti 1997) gives their numerator, and
+HilbertData.from_numerator reads the rest off it, or off a resolution's.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from operator import le
 
 from .errors import UsageError
 from .poly import (_BITS, _MASK, _MAXEXP, Polynomial, PolynomialRing, _degree,
@@ -927,10 +930,6 @@ class UnivariatePolynomial:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return UnivariatePolynomial([self[i] + other[i] for i in range(n)])
@@ -940,8 +939,6 @@ class UnivariatePolynomial:
         return UnivariatePolynomial([self[i] - other[i] for i in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivariatePolynomial([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
@@ -1002,13 +999,42 @@ class UnivariatePolynomial:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Numerator over the full ring, Krull dimension, degree, Hilbert polynomial."""
+    """Numerator N of a Hilbert series N / (1 - t)^nvars, Krull dimension,
+    degree, Hilbert polynomial; from_numerator reads the last three off N."""
 
     numerator: UnivariatePolynomial
     krull_dimension: int
     degree: int
     hilbert_polynomial: UnivariatePolynomial
     nvars: int = field(compare=False, default=0)
+
+    @classmethod
+    def from_numerator(cls, numerator: UnivariatePolynomial, nvars: int) -> HilbertData:
+        """The data of numerator / (1 - t)^nvars: with numerator = (1 - t)^codim
+        * q and q(1) != 0, the degree is q(1); a zero numerator is the unit
+        ideal's, of Krull dimension -1."""
+        if numerator.is_zero():
+            return cls(numerator, -1, 0, UnivariatePolynomial.zero(), nvars)
+        codim = 0
+        q = numerator
+        while q(1) == 0:
+            q = q.divide_one_minus_t()
+            codim += 1
+        dim = nvars - codim
+        hp = UnivariatePolynomial.zero()
+        if dim > 0:
+            # HF(d) = sum_j q_j * C(d - j + dim - 1, dim - 1)
+            #       = sum_j q_j * prod_{k=1}^{dim-1} (d - j + k) / (dim - 1)!
+            for j, c in enumerate(q.coeffs):
+                term = UnivariatePolynomial((Fraction(c, factorial(dim - 1)),))
+                for k in range(1, dim):
+                    term = term * UnivariatePolynomial((k - j, 1))
+                hp = hp + term
+        return cls(numerator, dim, q(1), hp, nvars)
+
+    @property
+    def codim(self) -> int:
+        return self.nvars - self.krull_dimension
 
     def hilbert_function(self, d: int) -> int:
         """Actual Hilbert function value from the numerator (valid for all d)."""
@@ -1021,47 +1047,39 @@ def _hilbert_function(numerator: UnivariatePolynomial, nvars: int, d: int) -> in
                for j, c in enumerate(numerator.coeffs[:d + 1]))
 
 
-def _minimalize_monomials(gens: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    out = []
-    for g in sorted(gens, key=sum):
-        if not any(all(map(le, h, g)) for h in out):
-            out.append(g)
-    return frozenset(out)
-
-
-def _monomial_numerator(gens: frozenset[tuple[int, ...]], nvars: int,
+def _monomial_numerator(gens: frozenset[int], order: MonomialOrder,
                         memo: dict) -> UnivariatePolynomial:
-    """Hilbert numerator of R/(monomial ideal), pivot-variable recursion."""
+    """Hilbert numerator of R/I, I the monomial ideal generated by gens,
+    plain packings of order's n slots (Bigatti 1997)."""
     if not gens:
         return UnivariatePolynomial.one()
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    if any(sum(g) == 0 for g in gens):
+    if 0 in gens:
         return UnivariatePolynomial.zero()
-    counts = [0] * nvars
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    best = max(range(nvars), key=lambda i: counts[i])
+    n = order.nvars
+    counts = [sum(1 for g in gens if g >> s & _MASK) for s in range(0, _BITS * n, _BITS)]
+    best = max(range(n), key=counts.__getitem__)
     if counts[best] <= 1:
         # pairwise coprime supports: product of (1 - t^deg)
         out = UnivariatePolynomial.one()
         for g in gens:
-            out = out * (UnivariatePolynomial.one()
-                         - UnivariatePolynomial.one().shift(sum(g)))
-        memo[gens] = out
-        return out
-    # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0; the generators of I + x
-    # are x and those of I without x, which need no minimalization
-    plus = frozenset([tuple(1 if i == best else 0 for i in range(nvars))]
-                     + [g for g in gens if g[best] == 0])
-    colon = _minimalize_monomials(frozenset(
-        tuple(e - 1 if i == best and e > 0 else e for i, e in enumerate(g))
-        for g in gens))
-    out = _monomial_numerator(plus, nvars, memo) \
-        + _monomial_numerator(colon, nvars, memo).shift(1)
+            out = out - out.shift(_slot_sum(g, n))
+    else:
+        # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0; the generators of I + x
+        # are x and those of I without x, which need no minimalization
+        x = 1 << (_BITS * best)
+        slot = _MASK * x
+        plus = frozenset([x] + [g for g in gens if not g & slot])
+        # I : x drops one x from each g; keep the minimal ones
+        colon = []
+        for g in sorted({g - x if g & slot else g for g in gens},
+                        key=partial(_slot_sum, k=n)):
+            if not any(order.divides(h, g) for h in colon):
+                colon.append(g)
+        out = _monomial_numerator(plus, order, memo) \
+            + _monomial_numerator(frozenset(colon), order, memo).shift(1)
     memo[gens] = out
     return out
 
@@ -1073,32 +1091,12 @@ def _require_homogeneous(ideal: Ideal) -> None:
 
 
 def hilbert(ideal: Ideal) -> HilbertData:
-    """Hilbert data of R/I for homogeneous I (usage error otherwise)."""
+    """Hilbert data of R/I for homogeneous I (usage error otherwise), read
+    off the plain packings of its degrevlex basis's leads."""
     _require_homogeneous(ideal)
     n = ideal.ring.nvars
-    gb = ideal.groebner_basis()
-    # the leads of a reduced basis are already minimal generators
-    leads = frozenset(ideal.ring._exps(g.packed[0][0]) for g in gb.elements)
-    numerator = _monomial_numerator(leads, n, {})
-    if numerator.is_zero():  # unit ideal
-        return HilbertData(numerator, -1, 0, UnivariatePolynomial.zero(), n)
-    codim = 0
-    q = numerator
-    while q(1) == 0:
-        q = q.divide_one_minus_t()
-        codim += 1
-    dim = n - codim
-    degree = q(1)
-    hp = UnivariatePolynomial.zero()
-    if dim > 0:
-        # HF(d) = sum_j q_j * C(d - j + dim - 1, dim - 1)
-        #       = sum_j q_j * prod_{k=1}^{dim-1} (d - j + k) / (dim - 1)!
-        for j, c in enumerate(q.coeffs):
-            term = UnivariatePolynomial((Fraction(c, factorial(dim - 1)),))
-            for k in range(1, dim):
-                term = term * UnivariatePolynomial((k - j, 1))
-            hp = hp + term
-    return HilbertData(numerator, dim, degree, hp, n)
+    leads = frozenset(_unrev(g.packed[0][0], n) for g in ideal.groebner_basis().elements)
+    return HilbertData.from_numerator(_monomial_numerator(leads, MonomialOrder(n), {}), n)
 
 
 def generator_profile(ideal: Ideal) -> dict[int, int]:

@@ -40,13 +40,18 @@ can hold the degree count of pipeline._is_pentagon against it.
 dense_profile counts minimal generators degree by degree as
 dim I_d - rank(R_1 * I_(d-1)), by dense ranks of all multiples of the
 generators, so the tests can hold generator_profile against it.
+monomial_numerator_by_tuples is the pivot recursion for the Hilbert
+numerator of a monomial ideal on exponent tuples, minimalizing by
+slot-by-slot comparison, so the tests can hold groebner._monomial_numerator,
+which runs on plain packings and tests divisibility by SWAR, against it.
 """
 
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import le
 
-from theta_loci.groebner import Ideal, _contract_t
+from theta_loci.groebner import Ideal, UnivariatePolynomial, _contract_t
 from theta_loci.multilinear import SkewMatrix
 from theta_loci.poly import Polynomial, PolynomialRing, _revkey
 from theta_loci.vinberg import _TRIPLE_INDEX, TRIPLES
@@ -366,3 +371,48 @@ def exponents_of_degree(n, k):
         for i in combo:
             exps[i] += 1
         yield tuple(exps)
+
+
+def _minimalize_monomials(gens):
+    out = []
+    for g in sorted(gens, key=sum):
+        if not any(all(map(le, h, g)) for h in out):
+            out.append(g)
+    return frozenset(out)
+
+
+def monomial_numerator_by_tuples(gens, nvars: int, memo=None) -> UnivariatePolynomial:
+    """Hilbert numerator of R/(monomial ideal), pivot-variable recursion on
+    the exponent tuples gens of its generators."""
+    gens = _minimalize_monomials(gens)
+    memo = {} if memo is None else memo
+    if not gens:
+        return UnivariatePolynomial.one()
+    cached = memo.get(gens)
+    if cached is not None:
+        return cached
+    if any(sum(g) == 0 for g in gens):
+        return UnivariatePolynomial.zero()
+    counts = [0] * nvars
+    for g in gens:
+        for i, e in enumerate(g):
+            if e:
+                counts[i] += 1
+    best = max(range(nvars), key=lambda i: counts[i])
+    if counts[best] <= 1:
+        # pairwise coprime supports: product of (1 - t^deg)
+        out = UnivariatePolynomial.one()
+        for g in gens:
+            out = out * (UnivariatePolynomial.one()
+                         - UnivariatePolynomial.one().shift(sum(g)))
+        memo[gens] = out
+        return out
+    # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0
+    plus = frozenset([tuple(1 if i == best else 0 for i in range(nvars))]
+                     + [g for g in gens if g[best] == 0])
+    colon = frozenset(tuple(e - 1 if i == best and e > 0 else e for i, e in enumerate(g))
+                      for g in gens)
+    out = monomial_numerator_by_tuples(plus, nvars, memo) \
+        + monomial_numerator_by_tuples(colon, nvars, memo).shift(1)
+    memo[gens] = out
+    return out

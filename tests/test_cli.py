@@ -174,6 +174,24 @@ def test_bott_resolution_cli(tmp_path, capsys):
     assert out["h"] == [1, 0, 3, 0, 0, 0, 0, 0]
 
 
+def test_bott_edge_answers(tmp_path, capsys):
+    """bott --weight 0,1 is the vanishing answer, printed at exit 0.  A
+    resolution term whose mult has as many nines as Python prints digits
+    (4300 by default), twisted by 1 on P^2, has h^0 = 3 * mult, one digit
+    more: a named error at exit 1, with nothing printed."""
+    assert main(["bott", "--weight", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"vanishes": True}
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps({"space": {"type": "A", "N": 3}, "terms": [
+        {"weight": [], "twist": 0, "h": 0},
+        {"weight": [], "twist": 1, "h": 1, "mult": int("9" * limit)}]}))
+    assert main(["bott", "resolution", "--file", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"the answer has an integer of more than {limit} digits" in out.err
+
+
 def test_bott_mode_is_chosen_by_the_positional(tmp_path, capsys):
     """bott resolution reads --file and refuses --weight, --type (the type
     comes from the file) and --rho-added; plain bott reads --weight, as type

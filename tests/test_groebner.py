@@ -13,7 +13,7 @@ from theta_loci.groebner import (Ideal, MonomialOrder, buchberger_reduced,
                                  saturate_by_ideal)
 from theta_loci.poly import PolynomialRing
 
-from oracles import degrevlex_cmp, ideal_quotient, order_key
+from oracles import degrevlex_cmp, exponents_of_degree, ideal_quotient, order_key
 
 
 @pytest.fixture
@@ -250,6 +250,35 @@ def test_intersection_quotient_saturation_examples(rxyz):
     assert got.is_unit()
 
 
+def test_zero_ideal_cases(rxyz):
+    """I : (0)^infty is the unit ideal, since 0 = 0^1 lies in (0); an
+    intersection with the zero ideal, on either side, and a saturation of
+    the zero ideal are zero."""
+    x, y, z = rxyz.gens()
+    ideal, zero = Ideal(rxyz, [x * y, z * z]), Ideal(rxyz, [])
+    assert saturate_by_ideal(ideal, zero).is_unit()
+    assert ideal_intersection(ideal, zero).is_zero()
+    assert ideal_intersection(zero, ideal).is_zero()
+    assert saturate(zero, x + y).is_zero() and saturate(zero, z).is_zero()
+
+
+def test_auxiliary_variable_is_renamed_past_the_ring_names():
+    """The t-elimination adds a variable named t, or _t, __t, ... past the
+    ring's own names.  A ring with variables t and _t gets the same
+    saturation by a non-variable and the same intersection as a ring with
+    other names."""
+    def run(names):
+        ring = PolynomialRing(prime=101, variables=names)
+        a, b, c = ring.gens()
+        ideal = Ideal(ring, [a * c - b * b, a * a * b - c ** 3, a * b * c])
+        sat = saturate(ideal, a + b)
+        meet = ideal_intersection(Ideal(ring, [a * a, b + c]), Ideal(ring, [a * b, c * c]))
+        return [[g.terms for g in i.groebner_basis().elements] for i in (sat, meet)]
+
+    got = run(("t", "_t", "x"))
+    assert got == run(("x", "y", "z")) and all(got)
+
+
 def test_quotient_vs_saturation(rxyz):
     x, y, z = rxyz.gens()
     ideal = Ideal(rxyz, [x * x * y, x * y * y])
@@ -373,6 +402,36 @@ def test_row_rule_builds_no_column_map(monkeypatch):
     expected = groebner._to_dict(-v[1] ** 21 - 3 * v[0] * v[2] ** 20, order)
     monkeypatch.setattr(groebner, "_columns", build)
     assert groebner._spoly(basis, 2, 3, lcm_key, 21) == expected
+
+
+@pytest.mark.parametrize("p, n, d", [(101, 3, 4), (32003, 4, 4), (2 ** 31 - 1, 3, 3)])
+def test_row_slot_reaches_its_bound_without_a_carry(p, n, d):
+    """A degree-d form with coefficient p - 1 at the smallest monomial m0 and
+    1 everywhere else, over the basis m - m0 of every other degree-d
+    monomial m, makes ncols - 1 row steps of (p - 1) * row, each adding
+    (p - 1)^2 to m0's slot.  That slot ends at (p - 1) + (ncols - 1)(p - 1)^2,
+    which at these p and ncols needs every bit of the slot width W and more
+    than the width of (p - 1) + (ncols - 2)(p - 1)^2, so a narrower slot
+    would carry into the next column and change the remainder."""
+    import theta_loci.groebner as groebner
+
+    order = MonomialOrder(n)
+    keys = sorted(order_key(order, e) for e in exponents_of_degree(n, d))
+    ncols, m0 = len(keys), keys[0]
+    peak = (p - 1) + (ncols - 1) * (p - 1) ** 2
+    f = dict.fromkeys(keys, 1) | {m0: p - 1}
+
+    def basis():
+        out = groebner._Basis(order, p)
+        for k in keys[1:]:
+            out.add({k: 1, m0: p - 1})
+        return out
+
+    expected = {m0: peak % p}
+    assert groebner._normal_form_dict(f, basis()) == expected
+    assert groebner._normal_form_dense(f, basis(), d) == expected
+    assert peak.bit_length() == groebner._width(p, ncols) \
+        > ((p - 1) + (ncols - 2) * (p - 1) ** 2).bit_length()
 
 
 def test_quota_run_rejects_a_basis_that_is_not_reduced(rxyz):

@@ -2,17 +2,23 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import theta_loci.pipeline as pipeline
 from theta_loci.errors import UsageError
 from theta_loci.complexes import buchsbaum_eisenbud_numerator_terms
-from theta_loci.groebner import (Ideal, UnivariatePolynomial, hilbert,
+from theta_loci.groebner import (Ideal, MonomialOrder, UnivariatePolynomial,
+                                 _monomial_numerator, hilbert,
                                  resolution_hilbert_numerator)
 from theta_loci.multilinear import c5w25_matrix, pfaffian_ideal, random_section
 from theta_loci.groebner import saturate
-from theta_loci.poly import PolynomialRing
+from theta_loci.poly import _BITS, _MAXEXP, PolynomialRing, _unrev
 
+from oracles import monomial_numerator_by_tuples
 from resolutions import (goto_jozefiak_tachibana_numerator_terms,
                          jozefiak_pragacz_numerator_terms,
                          koszul_numerator_terms)
@@ -173,3 +179,61 @@ def test_specialization_check_eagon_northcott():
         hd = hilbert(sat)
         assert hd.numerator == predicted
         assert 5 - hd.krull_dimension == 3
+
+
+def _plain(exps) -> int:
+    return sum(e << (_BITS * i) for i, e in enumerate(exps))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(nvars, exponent tuples) with 1-12 variables and small exponents, and
+    at most one exponent _MAXEXP - 1 - k, k <= 2, next to its slot's guard
+    bit.  Two such exponents in one variable would take the recursion one
+    level per unit, past Python's recursion limit, and each one makes the
+    numerators about 2^15 terms long, so the draws keep them few."""
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    tops = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, len(gens) - 1),
+                                max_size=1))
+    for var, i in tops.items():
+        gens[i][var] = _MAXEXP - 1 - draw(st.integers(0, 2))
+    return n, [tuple(g) for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monomial_ideals())
+@example((12, [(_MAXEXP - 1,) * 12]))
+@example((2, [(_MAXEXP - 1, 0), (1, 1)]))
+@example((3, [(0, _MAXEXP - 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+@example((2, [(_MAXEXP - 1, 1), (1, _MAXEXP - 1)]))
+def test_packed_numerator_matches_the_tuple_recursion(ideal):
+    """The recursion on plain packings, with SWAR minimalization, gives the
+    numerator of the reference recursion on exponent tuples."""
+    n, gens = ideal
+    assert _monomial_numerator(frozenset(map(_plain, gens)), MonomialOrder(n), {}) \
+        == monomial_numerator_by_tuples(gens, n)
+
+
+@pytest.mark.parametrize("case, seed", [("w39", 1), ("c3c3c3", 1)])
+def test_packed_numerator_on_pipeline_leads(case, seed):
+    """On the leads of every record of a pipeline run, the packed recursion
+    and the tuple recursion give the same numerator."""
+    ideals = []
+    record = pipeline._record
+
+    def spy(name, ideal, hd, **kw):
+        ideals.append(ideal)
+        return record(name, ideal, hd, **kw)
+
+    with mock.patch.object(pipeline, "_record", side_effect=spy):
+        pipeline.run_case(case, prime=32003, seed=seed)
+    assert len(ideals) == (2 if case == "w39" else 4)
+    for ideal in ideals:
+        n = ideal.ring.nvars
+        leads = [g.packed[0][0] for g in ideal.groebner_basis().elements]
+        packed = _monomial_numerator(frozenset(_unrev(k, n) for k in leads),
+                                     MonomialOrder(n), {})
+        assert packed == monomial_numerator_by_tuples([ideal.ring._exps(k) for k in leads], n)
+        assert packed == hilbert(ideal).numerator

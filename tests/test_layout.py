@@ -118,3 +118,16 @@ def test_every_method_of_a_private_class_has_a_caller():
     unreferenced = _unreferenced_methods()
     assert unreferenced == set(), \
         f"only tests reach these; move them to tests/: {sorted(unreferenced)}"
+
+
+def test_groebner_works_on_packings_only():
+    """groebner.py reads monomials as packed keys and plain packings only:
+    it reaches no exponent-tuple API of poly (the attributes _exps,
+    from_exponent_dict, monomial and terms), which stays at the API edge
+    (parse, printing).  A local named terms is no such reach."""
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    names = _names(tree, bare=False) | {alias.name for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom)
+                                        for alias in node.names}
+    used = names & {"_exps", "from_exponent_dict", "monomial", "terms"}
+    assert used == set(), f"groebner.py unpacks monomials through {sorted(used)}"
