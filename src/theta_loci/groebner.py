@@ -52,23 +52,24 @@ the dropped block, and keeps the basis elements whose lead weighs nothing.
 Saturation by a single polynomial uses the auxiliary-variable method
 (adjoin t, add t*f - 1, eliminate t).  For a homogeneous ideal and any plain
 variable z_i there is a fast path under degrevlex with z_i last, where a
-form is divisible by z_i exactly when its lead is (Bayer-Stillman).  The
-engine divides each new element by the power of z_i in its lead as it finds
-it, so the basis of the raw ideal, with its high-degree part from the
-component on z_i = 0, is never built.  The two paths agree and both are
-tested.  Saturation by an ideal J has one path for every I and J:
-I : J^infty is the intersection of the I : g^infty over J's generators g.
-The running intersection S often lies in the next I : g^infty already, and
-g*S <= I shows it: then S <= I : g <= I : g^infty, so S cap I : g^infty = S
-and g is skipped (Cox-Little-O'Shea, Ch. 4 sec. 4).  Otherwise the
-saturation by g runs, the dividing run when g is a variable, and is met
-with S.  Those saturations often contain one another, so an intersection
-first asks whether one ideal lies in the other: I cap J is I when I <= J
-and J when J <= I.  Both tests, the skip's and the intersection's, reduce
-one ideal's generators against a basis the other already carries under
-degrevlex with some z_i last, so they start no engine run; without such a
-basis the skip is not taken, and an intersection of two ideals neither of
-which contains the other takes the t-elimination.
+form is divisible by z_i exactly when its lead is (Bayer-Stillman).  So I
+is saturated when a basis it carries under that order has no element
+divisible by z_i (_saturated); otherwise one engine run from I's generators
+divides each new element by the power of z_i in its lead as it finds it,
+and the raw ideal's high-degree part, from the component on z_i = 0, is
+never built.  The two paths agree and both are tested.  I : J^infty is I
+when J has a variable by which I is saturated, and otherwise the
+intersection of the I : g^infty over J's generators g.  The running
+intersection S often lies in the next I : g^infty already, and g*S <= I
+shows it: then S <= I : g <= I : g^infty, so S cap I : g^infty = S and g
+is skipped (Cox-Little-O'Shea, Ch. 4 sec. 4).  Otherwise the saturation by
+g runs and is met with S.  Those saturations often contain one another, so
+an intersection first asks whether one ideal lies in the other: I cap J is
+I when I <= J and J when J <= I.  Both tests, the skip's and the
+intersection's, reduce one ideal's generators against a basis the other
+already carries under degrevlex with some z_i last, so they start no engine
+run; without such a basis the skip is not taken, and an intersection of two
+ideals neither of which contains the other takes the t-elimination.
 
 Hilbert data run on the plain packings of the degrevlex basis's leads too:
 the pivot recursion (Bigatti 1997) gives their numerator, and
@@ -772,35 +773,29 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
                         if not max(d) >> order._shift])
 
 
-def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
-    """I : z_i^infty for homogeneous I, under degrevlex with z_i last.
-
-    A basis of I under that order that is already cached and has no element
-    divisible by z_i is a basis of the saturation.  Otherwise one engine run
-    over the generators, or over a cached basis of I under any order when
-    that is shorter, divides each new element by the power of z_i in its
-    lead as it is found (divide_last in _buchberger_dicts; Bayer-Stillman
-    1987).  That run counts mu only when it divided nothing; after a division
-    generator_profile counts it, if it is ever read.  The saturation carries
-    that basis; a run that divided nothing built a basis of I itself, so it
-    is cached on I as well.
-    """
-    ring, n = ideal.ring, ideal.ring.nvars
-    order = MonomialOrder(n, last=i)
-    gb = ideal._gb_cache.get(order.descriptor)
+def _saturated(ideal: Ideal, i: int) -> bool:
+    """Is homogeneous I = I : z_i^infty, as read off a basis I already
+    carries under degrevlex with z_i last?  Yes when no element of it is
+    divisible by z_i (Bayer-Stillman 1987); False when I carries none."""
+    n = ideal.ring.nvars
+    gb = ideal._gb_cache.get(MonomialOrder(n, last=i).descriptor)
     zmask = _MASK << (_BITS * i)
-    if gb is None or any(all(_unrev(k, n) & zmask for k, _ in g.packed)
-                         for g in gb.elements):
-        start = min([ideal.generators] + [b.elements for b in ideal._gb_cache.values()],
-                    key=len)
-        out, mu = _buchberger_dicts([_to_dict(g, order) for g in start],
-                                    ring.prime, order, divide_last=True)
-        gb = GroebnerBasis(ring, order.descriptor,
-                           tuple(_from_dict(d, ring, order) for d in out), mu)
-        if mu is not None:  # nothing divided: gb is a basis of I as well
-            ideal._gb_cache[order.descriptor] = gb
-    sat = Ideal(ring, gb.elements)
-    sat._gb_cache[order.descriptor] = gb
+    return gb is not None and not any(all(_unrev(k, n) & zmask for k, _ in g.packed)
+                                      for g in gb.elements)
+
+
+def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
+    """I : z_i^infty for homogeneous I: one engine run over I's generators
+    under degrevlex with z_i last divides each new element by the power of
+    z_i in its lead as it is found (divide_last in _buchberger_dicts).  The
+    run counts mu only when it divided nothing; otherwise generator_profile
+    counts it, if it is ever read.  The saturation carries the run's basis."""
+    ring, order = ideal.ring, MonomialOrder(ideal.ring.nvars, last=i)
+    out, mu = _buchberger_dicts([_to_dict(g, order) for g in ideal.generators],
+                                ring.prime, order, divide_last=True)
+    sat = Ideal(ring, [_from_dict(d, ring, order) for d in out])
+    sat._gb_cache[order.descriptor] = GroebnerBasis(ring, order.descriptor,
+                                                    sat.generators, mu)
     return sat
 
 
@@ -833,7 +828,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     # fast path: f is a single variable and I is homogeneous
     idx = _variable_index(f)
     if idx is not None and ideal.homogeneous:
-        return _saturate_variable(ideal, idx)
+        return ideal if _saturated(ideal, idx) else _saturate_variable(ideal, idx)
     return _contract_t(ring, lambda t, up: [up(g) for g in ideal.generators]
                        + [t * up(f) - 1])
 
@@ -883,15 +878,18 @@ def saturate_by_ideal(a: Ideal, b: Ideal) -> Ideal:
     every product of r(N - 1) + 1 generators, in which some g occurs N times
     (pigeonhole); conversely f*J^N <= I puts every f*g^N in I.
 
-    The intersection S of the saturations so far is kept, and a generator g
-    with g*S <= I is skipped: then S <= I : g <= I : g^infty, so meeting S
-    with I : g^infty would give S back.  _inside decides g*S <= I from a
-    basis I already carries, and without one the saturation by g runs.
+    I <= I : J^infty <= I : z^infty for a variable z among the g, so the
+    answer is I when homogeneous I is saturated by z.  Otherwise a g with
+    g*S <= I, S the intersection so far, is skipped: S <= I : g^infty, so
+    S cap I : g^infty = S.  _inside reads g*S <= I off a basis I carries.
     """
     if a.ring != b.ring:
         raise UsageError("ideals from different rings")
     if b.is_zero():
         return Ideal(a.ring, (a.ring.one(),))
+    if a.homogeneous and any(i is not None and _saturated(a, i)
+                             for i in map(_variable_index, b.generators)):
+        return a
     out = None
     for g in b.generators:
         if out is not None and _inside(Ideal(a.ring, [g * s for s in out.generators]), a):
@@ -1067,19 +1065,19 @@ def _monomial_numerator(gens: frozenset[int], order: MonomialOrder,
         for g in gens:
             out = out - out.shift(_slot_sum(g, n))
     else:
-        # 0 -> R/(I:x) (-1) -> R/I -> R/(I + x) -> 0; the generators of I + x
-        # are x and those of I without x, which need no minimalization
-        x = 1 << (_BITS * best)
-        slot = _MASK * x
-        plus = frozenset([x] + [g for g in gens if not g & slot])
-        # I : x drops one x from each g; keep the minimal ones
+        # 0 -> R/(I:x^m) (-m) -> R/I -> R/(I + x^m) -> 0, m the least positive
+        # exponent of x; I + x^m is x^m and the g without x, already minimal
+        slot = _MASK << (_BITS * best)
+        xm = min(g & slot for g in gens if g & slot)
+        plus = frozenset([xm] + [g for g in gens if not g & slot])
+        # I : x^m drops x^m from each g with x; keep the minimal ones
         colon = []
-        for g in sorted({g - x if g & slot else g for g in gens},
+        for g in sorted({g - xm if g & slot else g for g in gens},
                         key=partial(_slot_sum, k=n)):
             if not any(order.divides(h, g) for h in colon):
                 colon.append(g)
         out = _monomial_numerator(plus, order, memo) \
-            + _monomial_numerator(frozenset(colon), order, memo).shift(1)
+            + _monomial_numerator(frozenset(colon), order, memo).shift(xm >> _BITS * best)
     memo[gens] = out
     return out
 

@@ -299,7 +299,7 @@ def _run_c3c3c3(prime: int, seed: int, chart: int) -> CaseReport:
 
     # scheme-theoretic intersection of the two components: sum of ideals,
     # saturated at the irrelevant ideal to strip any embedded-at-origin junk;
-    # both's degrevlex basis, built above, serves its saturation by z9
+    # both's degrevlex basis, built above, decides its saturation by m without a run
     t0 = time.perf_counter()
     meet = saturate_by_ideal(both, Ideal(ring, list(z)))
     rec_meet = _record("component_intersection", meet, hilbert(meet))

@@ -44,6 +44,10 @@ monomial_numerator_by_tuples is the pivot recursion for the Hilbert
 numerator of a monomial ideal on exponent tuples, minimalizing by
 slot-by-slot comparison, so the tests can hold groebner._monomial_numerator,
 which runs on plain packings and tests divisibility by SWAR, against it.
+It recurses one level per unit of its pivot's exponent, so
+monomial_numerator_by_taylor sums (-1)^|S| t^deg lcm(S) over the subsets S
+of the generators instead (the Taylor complex, or inclusion-exclusion over
+the principal ideals), which holds for exponents of any size.
 """
 
 from fractions import Fraction
@@ -416,3 +420,14 @@ def monomial_numerator_by_tuples(gens, nvars: int, memo=None) -> UnivariatePolyn
         + monomial_numerator_by_tuples(colon, nvars, memo).shift(1)
     memo[gens] = out
     return out
+
+
+def monomial_numerator_by_taylor(gens) -> UnivariatePolynomial:
+    """Hilbert numerator of R/(monomial ideal), the alternating sum over the
+    subsets S of the exponent tuples gens of (-1)^|S| t^deg lcm(S)."""
+    coeffs = {}
+    for k in range(len(gens) + 1):
+        for subset in combinations(gens, k):
+            d = sum(map(max, zip(*subset)))
+            coeffs[d] = coeffs.get(d, 0) + (-1) ** k
+    return UnivariatePolynomial([coeffs.get(d, 0) for d in range(max(coeffs) + 1)])

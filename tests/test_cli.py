@@ -322,6 +322,17 @@ def test_gb_cli(tmp_path, capsys):
         assert out.out == "" and "--eliminate" in out.err and repr(names) in out.err
 
 
+def test_gb_cli_hilbert_of_two_large_powers(tmp_path, capsys):
+    """x^1500 y and x^1500 z share x^1500: the numerator recursion takes the
+    colon by x^1500 in one step, not by x in 1500 nested ones."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"prime": 101, "variables": ["x", "y", "z"],
+                                "generators": ["x^1500*y", "x^1500*z"]}))
+    assert main(["gb", str(path), "--hilbert"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["numerator"], out["dim"], out["degree"]) == ("1 - 2*t^1501 + t^1502", 2, 1500)
+
+
 def test_gb_cli_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"prime": 101, "variables": ["x"]}))

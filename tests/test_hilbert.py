@@ -18,7 +18,7 @@ from theta_loci.multilinear import c5w25_matrix, pfaffian_ideal, random_section
 from theta_loci.groebner import saturate
 from theta_loci.poly import _BITS, _MAXEXP, PolynomialRing, _unrev
 
-from oracles import monomial_numerator_by_tuples
+from oracles import monomial_numerator_by_taylor, monomial_numerator_by_tuples
 from resolutions import (goto_jozefiak_tachibana_numerator_terms,
                          jozefiak_pragacz_numerator_terms,
                          koszul_numerator_terms)
@@ -188,16 +188,14 @@ def _plain(exps) -> int:
 @st.composite
 def _monomial_ideals(draw):
     """(nvars, exponent tuples) with 1-12 variables and small exponents, and
-    at most one exponent _MAXEXP - 1 - k, k <= 2, next to its slot's guard
-    bit.  Two such exponents in one variable would take the recursion one
-    level per unit, past Python's recursion limit, and each one makes the
-    numerators about 2^15 terms long, so the draws keep them few."""
+    at most two exponents _MAXEXP - 1 - k, k <= 2, next to their slot's
+    guard bit, both in one variable.  They make the numerators about 2^15
+    terms long, so the draws keep them few."""
     n = draw(st.integers(1, 12))
     gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                          min_size=1, max_size=5))
-    tops = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, len(gens) - 1),
-                                max_size=1))
-    for var, i in tops.items():
+    var = draw(st.integers(0, n - 1))
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=2, unique=True)):
         gens[i][var] = _MAXEXP - 1 - draw(st.integers(0, 2))
     return n, [tuple(g) for g in gens]
 
@@ -208,12 +206,17 @@ def _monomial_ideals(draw):
 @example((2, [(_MAXEXP - 1, 0), (1, 1)]))
 @example((3, [(0, _MAXEXP - 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]))
 @example((2, [(_MAXEXP - 1, 1), (1, _MAXEXP - 1)]))
+@example((3, [(_MAXEXP - 1, 1, 0), (_MAXEXP - 3, 0, 1)]))
 def test_packed_numerator_matches_the_tuple_recursion(ideal):
     """The recursion on plain packings, with SWAR minimalization, gives the
-    numerator of the reference recursion on exponent tuples."""
+    Taylor complex's numerator, and the reference recursion's on exponent
+    tuples unless two large exponents share a variable: that recursion then
+    goes one level per unit of the smaller, past Python's recursion limit."""
     n, gens = ideal
-    assert _monomial_numerator(frozenset(map(_plain, gens)), MonomialOrder(n), {}) \
-        == monomial_numerator_by_tuples(gens, n)
+    packed = _monomial_numerator(frozenset(map(_plain, gens)), MonomialOrder(n), {})
+    assert packed == monomial_numerator_by_taylor(gens)
+    if all(sum(g[v] >= _MAXEXP - 3 for g in gens) <= 1 for v in range(n)):
+        assert packed == monomial_numerator_by_tuples(gens, n)
 
 
 @pytest.mark.parametrize("case, seed", [("w39", 1), ("c3c3c3", 1)])

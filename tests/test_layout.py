@@ -131,3 +131,33 @@ def test_groebner_works_on_packings_only():
                                         for alias in node.names}
     used = names & {"_exps", "from_exponent_dict", "monomial", "terms"}
     assert used == set(), f"groebner.py unpacks monomials through {sorted(used)}"
+
+
+def test_a_cached_basis_is_written_only_onto_its_own_ideal():
+    """groebner.py writes into an ideal's _gb_cache at two sites only:
+    Ideal.groebner_basis, onto the ideal asked, and _saturate_variable, onto
+    the Ideal it builds and returns.  A saturation that wrote a basis back
+    onto an ideal it was handed would be a third site."""
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    writes, funcs = [], {}
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = funcs[node.name] = node
+        cache = None
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            cache = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr not in ("get", "values", "items", "keys"):
+            cache = node.func.value
+        if isinstance(cache, ast.Attribute) and cache.attr == "_gb_cache":
+            writes.append((func.name, ast.unparse(cache.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    assert writes == [("groebner_basis", "self"), ("_saturate_variable", "sat")]
+    body = funcs["_saturate_variable"].body
+    built = [n.value.func.id for n in body if isinstance(n, ast.Assign)
+             and [ast.unparse(t) for t in n.targets] == ["sat"]]
+    assert built == ["Ideal"] and ast.unparse(body[-1]) == "return sat"

@@ -208,16 +208,17 @@ def test_hilbert_pruning_keeps_basis_and_mu(ring_gens):
 @given(homogeneous_ideals())
 def test_saturation_by_a_variable_divides_during_the_run(ring_gens):
     """I : z_i^infty for each variable z_i: the engine run that divides as it
-    goes, on a fresh ideal and on one with a basis under degrevlex with z_i
-    last cached, gives the same basis and generator profile as the
-    auxiliary-variable method through z_i^2."""
+    goes, on a fresh ideal, and saturate on one with a basis under degrevlex
+    with z_i last cached, which that basis may show saturated already, give
+    the same basis and generator profile as the auxiliary-variable method
+    through z_i^2."""
     ring, gens = ring_gens
     n = ring.nvars
     for i, z in enumerate(ring.gens()):
         fresh = _saturate_variable(Ideal(ring, gens), i)
         cached = Ideal(ring, gens)
         cached.groebner_basis(MonomialOrder(n, last=i))
-        divided = _saturate_variable(cached, i)
+        divided = saturate(cached, z)
         slow = saturate(Ideal(ring, gens), z * z)
         basis = slow.groebner_basis().elements
         assert fresh.groebner_basis().elements == basis
@@ -478,6 +479,7 @@ colon_generators = st.one_of(
 @example([X * Y, X * Z], [Y, Z], True)
 @example([X * Y, X * Z], [Y, X], True)
 @example([X, Y * Y], [Z, Y + Z], True)
+@example([21 * Y * Z * Z + 50 * Z ** 3, 57 * Z * Z + 80 * Y], [Z], True)
 @given(small_ideals(), st.lists(colon_generators, min_size=1, max_size=3),
        st.booleans())
 def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon, cached):
@@ -485,7 +487,11 @@ def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon, cached):
     equals the first stable I : J^k, for homogeneous and inhomogeneous I and
     J generated by variables, linear forms, products and constants; with
     cached, I carries its degrevlex basis, so that a generator g with
-    g*S <= I, S the intersection so far, can be skipped."""
+    g*S <= I, S the intersection so far, can be skipped, and a homogeneous I
+    can be read as saturated by a variable.  The degrevlex basis
+    {z^2 + 90y, y^2 + 12yz} of the inhomogeneous (21yz^2 + 50z^3, 57z^2 + 80y)
+    has no element divisible by z, yet its saturation by z is (z + 31, y + 32):
+    that read needs homogeneity."""
     ideal = Ideal(R3, gens)
     if cached:
         ideal.groebner_basis()
@@ -502,15 +508,20 @@ def test_saturation_by_an_ideal_is_the_iterated_quotient(gens, colon, cached):
     # x*x is not in I: x takes its run, and the t-elimination meets
     # (x) with (y, z) to give I back
     ([X * Y, X * Z], [Y, X], True, (2, 3), [X * Y, X * Z]),
-    # I is saturated; z's run divides nothing and leaves its basis on I,
-    # which shows (y + z)*I <= I, and that basis is the answer's
-    ([X, Y * Y], [Z, Y + Z], False, (1, 1), [X, Y * Y]),
+    # I is saturated, but without a basis on I z takes its run, which writes
+    # no basis back onto I; so the skip cannot be read and y + z takes the
+    # t-elimination, whose answer lies in z's, as the basis z's answer
+    # carries shows, so the intersection runs none
+    ([X, Y * Y], [Z, Y + Z], False, (1, 2), [X, Y * Y]),
+    # no element of I's degrevlex basis is divisible by z: I is the answer
+    ([X, Y * Y], [Z, Y + Z], True, (0, 0), [X, Y * Y]),
 ])
 def test_saturation_by_an_ideal_skips_a_generator_once_g_s_lies_in_i(
         gens, colon, cached, runs, want):
     """saturate_by_ideal skips a generator g when g*S <= I, as read from a
-    basis I carries.  runs is (dividing runs, all engine runs): one dividing
-    run per variable that is not skipped, and the rest intersections.  The
+    basis I carries, and returns I when that basis shows I saturated by a
+    variable of J.  runs is (dividing runs, all engine runs): one dividing
+    run per variable that is not skipped, and the rest t-eliminations.  The
     answer is returned as built, so a degrevlex run it still needs happens
     when got.groebner_basis() is read, after the count."""
     ideal = Ideal(R3, gens)
